@@ -35,11 +35,13 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Run the suite with -benchmem and append a labeled run to BENCH_perf.json —
+# Run the root suite and the in-process server benchmarks (internal/server:
+# one request through Handler().ServeHTTP per endpoint) with -benchmem and
+# append a labeled run to BENCH_perf.json —
 # the measured perf trajectory every perf PR records itself into and diffs
 # against. CI uploads the file as an artifact on pushes to main.
 bench-json:
-	$(GO) test -bench=. -benchmem -run='^$$' -benchtime=$(BENCHTIME) . \
+	$(GO) test -bench=. -benchmem -run='^$$' -benchtime=$(BENCHTIME) . ./internal/server \
 		| $(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -o BENCH_perf.json
 
 # Fail when the committed trajectory is missing, unparsable or empty — a
@@ -82,11 +84,13 @@ fmt:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Exercise the decoder and hash-lookup fuzz targets briefly (CI runs this
-# non-blocking).
+# Exercise the decoder, hash-lookup and request-body scanner fuzz targets
+# briefly (CI runs this non-blocking).
 fuzz-smoke:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -run='^$$' ./internal/core
 	$(GO) test -fuzz=FuzzLookup -fuzztime=10s -run='^$$' ./internal/perfecthash
+	$(GO) test -fuzz=FuzzBatchBody -fuzztime=10s -run='^$$' ./internal/server
+	$(GO) test -fuzz=FuzzMatrixBody -fuzztime=10s -run='^$$' ./internal/server
 
 # End-to-end build/store/serve pipeline: generate a terrain, build se and
 # a2a index containers, serve them with seserve, and assert curl'd answers

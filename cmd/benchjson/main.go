@@ -52,7 +52,7 @@ type Run struct {
 	GOOS       string      `json:"goos,omitempty"`
 	GOARCH     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
-	Package    string      `json:"pkg,omitempty"`
+	Package    string      `json:"pkg,omitempty"` // space-separated when the run spans packages
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -103,7 +103,11 @@ func main() {
 		case strings.HasPrefix(line, "cpu: "):
 			run.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "pkg: "):
-			run.Package = strings.TrimPrefix(line, "pkg: ")
+			// A multi-package run records every package, in run order.
+			if run.Package != "" {
+				run.Package += " "
+			}
+			run.Package += strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBenchLine(line); ok {
 				run.Benchmarks = append(run.Benchmarks, b)

@@ -72,7 +72,7 @@ func TestScopeRespected(t *testing.T) {
 // TestAnnotatedFuncsListsHotPaths pins that the repo's annotated hot
 // functions are discoverable — the escape gate is only as good as this set.
 func TestAnnotatedFuncsListsHotPaths(t *testing.T) {
-	fns, err := analysis.HotpathFuncs("seoracle/internal/core", "seoracle/internal/perfecthash")
+	fns, err := analysis.HotpathFuncs("seoracle/internal/core", "seoracle/internal/perfecthash", "seoracle/internal/server")
 	if err != nil {
 		t.Fatalf("listing hotpath functions: %v", err)
 	}
@@ -90,6 +90,12 @@ func TestAnnotatedFuncsListsHotPaths(t *testing.T) {
 		"(*Table).Index",
 		"(*Table).Lookup",
 		"CompactSlotOf",
+		"scanBatch",
+		"scanMatrix",
+		"appendQuery",
+		"appendBatch",
+		"appendMatrix",
+		"appendPath",
 	} {
 		if !byName[want] {
 			t.Errorf("expected //sealint:hotpath on %s; annotated set: %v", want, names(fns))

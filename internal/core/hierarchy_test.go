@@ -129,9 +129,21 @@ func TestLODCrossTileParity(t *testing.T) {
 	eps := 0.2
 	opt := lodOpt(eps, 44)
 	sh := buildLOD(t, w, 4, opt)
+	if cross := checkLODParity(t, sh, w, eps, 4*maxPortalSpacing(sh, opt.PortalsPerEdge)); cross == 0 {
+		t.Fatal("parity suite exercised no cross-tile pairs")
+	}
+	ts, _ := sh.TileStats()
+	if ts.PortalQueries == 0 || ts.CoarseQueries == 0 {
+		t.Fatalf("want both routing paths exercised, got portal=%d coarse=%d", ts.PortalQueries, ts.CoarseQueries)
+	}
+}
+
+// checkLODParity queries every global pair of sh and checks it against the
+// world's exact distances: never below (1-eps)·exact, never above
+// (1+eps)·exact plus the portal slack. It returns the cross-tile pair count.
+func checkLODParity(t *testing.T, sh *ShardedIndex, w *testWorld, eps, slack float64) (cross int) {
+	t.Helper()
 	g2p := globalToPOI(t, sh, w)
-	slack := 4 * maxPortalSpacing(sh, opt.PortalsPerEdge)
-	cross := 0
 	for s := 0; s < sh.NumGlobalIDs(); s++ {
 		for tt := 0; tt < sh.NumGlobalIDs(); tt++ {
 			d, err := sh.Query(int32(s), int32(tt))
@@ -152,13 +164,7 @@ func TestLODCrossTileParity(t *testing.T) {
 			}
 		}
 	}
-	if cross == 0 {
-		t.Fatal("parity suite exercised no cross-tile pairs")
-	}
-	ts, _ := sh.TileStats()
-	if ts.PortalQueries == 0 || ts.CoarseQueries == 0 {
-		t.Fatalf("want both routing paths exercised, got portal=%d coarse=%d", ts.PortalQueries, ts.CoarseQueries)
-	}
+	return cross
 }
 
 // Cross-tile paths: same bounds as Query, plus structural checks — reported

@@ -93,6 +93,11 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 		return t, nil
 	}
 
+	// coveredBy[q] is the previous-layer node whose disk removed POI q; at
+	// layer 1 that is the root, whose disk covers every POI.
+	coveredBy := make([]int32, n)
+	nextCoveredBy := make([]int32, n)
+
 	// Step 2: non-root layers.
 	for layer := int32(1); ; layer++ {
 		if layer >= maxLayers {
@@ -162,7 +167,11 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 				}
 			}
 			if bestParent < 0 {
-				return nil, fmt.Errorf("core: no parent found for POI %d at layer %d (covering property violated)", p, layer)
+				// The node whose disk removed p lies within 2*ri of p measured
+				// from its own side (the Covering Property), but measured from
+				// p's side the engine can put it a few ulps beyond the search
+				// radius. It is a valid parent either way.
+				bestParent = coveredBy[p]
 			}
 
 			id := int32(len(t.nodes))
@@ -172,6 +181,7 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 			// Remove covered POIs.
 			for i, q := range idx {
 				if dist[i] <= ri {
+					nextCoveredBy[q] = id
 					rem.remove(q)
 					if grid != nil {
 						grid.remove(q)
@@ -181,6 +191,7 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 			if rem.contains(p) {
 				// The center always covers itself; guard against numerical
 				// surprises in the engine.
+				nextCoveredBy[p] = id
 				rem.remove(p)
 				if grid != nil {
 					grid.remove(p)
@@ -188,6 +199,7 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 			}
 		}
 		t.layers = append(t.layers, layerNodes)
+		coveredBy, nextCoveredBy = nextCoveredBy, coveredBy
 		if len(layerNodes) == n {
 			t.height = layer
 			for _, id := range layerNodes {

@@ -839,8 +839,20 @@ func (s *Server) queryFailStatus(err error, fallback int) int {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
+	body, status := s.readBody(w, r)
+	if status != 0 {
+		return status
+	}
+	defer putBody(body)
+	pp := pairBufs.get()
+	defer pairBufs.put(pp)
 	var req batchRequest
-	if status := s.readJSON(w, r, &req); status != 0 {
+	scan := batchScan{Pairs: *pp}
+	accepted := scanBatch(body.Bytes(), &scan)
+	*pp = scan.Pairs
+	if accepted {
+		req.Pairs, req.Index = scan.Pairs, string(scan.Index)
+	} else if status := s.decodeJSON(w, body.Bytes(), &req); status != 0 {
 		return status
 	}
 	if req.Index == "" {
@@ -863,7 +875,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	// QueryBatchCtx wraps a failing pair's error with its batch-wide index
 	// ("batch pair N: ..."), so the client can tell which pair was bad, and
 	// stops computing once the request deadline expires.
-	dst, err := core.QueryBatchCtx(r.Context(), tgt.idx, req.Pairs, make([]float64, len(req.Pairs)))
+	dp := distBufs.get()
+	defer distBufs.put(dp)
+	dst, err := core.QueryBatchCtx(r.Context(), tgt.idx, req.Pairs, *dp)
+	*dp = dst
 	if err != nil {
 		return s.writeError(w, s.queryFailStatus(err, http.StatusBadRequest), "batch: %v", err)
 	}
@@ -1151,47 +1166,43 @@ func (s *Server) checkCoords(w http.ResponseWriter, vals ...*float64) int {
 	return 0
 }
 
-// readJSON decodes a request body, returning 0 on success or the error
-// status it already wrote. A body over the configured cap fails with a
-// counted 413 (folded into oversize_rejections with the other size caps)
-// instead of a shapeless 400.
+// readJSON reads a request body and decodes it with the reference decode,
+// returning 0 on success or the error status it already wrote.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) int {
-	maxBody := s.opt.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBodyBytes
+	body, status := s.readBody(w, r)
+	if status != 0 {
+		return status
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.oversizeRejections.Add(1)
-			return s.writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-		}
-		return s.writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-	}
-	return 0
+	defer putBody(body)
+	return s.decodeJSON(w, body.Bytes(), dst)
 }
 
-// writeJSON marshals v BEFORE writing the status line, so an unencodable
+// writeJSON encodes v BEFORE writing the status line, so an unencodable
 // value (a NaN/Inf float that slipped into a response struct) becomes a
 // counted, logged 500 with a JSON error body — not a silent 200 with a
 // truncated body, which is what encoding straight into the ResponseWriter
-// used to produce.
+// used to produce. The hot response types go through the append encoders
+// into a pooled buffer; everything they decline, json.Marshal encodes.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) int {
-	data, err := json.Marshal(v)
-	if err != nil {
-		s.encodeFailures.Add(1)
-		s.encodeLogOnce.Do(func() {
-			log.Printf("server: response encoding failed (counted in /statsz encode_failures): %v", err)
-		})
-		// errorResponse always marshals, so this recursion terminates.
-		return s.writeJSON(w, http.StatusInternalServerError,
-			errorResponse{Error: fmt.Sprintf("response not encodable: %v", err)})
+	bp := respBufs.get()
+	defer respBufs.put(bp)
+	data, ok := appendResponse(*bp, v)
+	*bp = data
+	if !ok {
+		var err error
+		if data, err = json.Marshal(v); err != nil {
+			s.encodeFailures.Add(1)
+			s.encodeLogOnce.Do(func() {
+				log.Printf("server: response encoding failed (counted in /statsz encode_failures): %v", err)
+			})
+			// errorResponse always marshals, so this recursion terminates.
+			return s.writeJSON(w, http.StatusInternalServerError,
+				errorResponse{Error: fmt.Sprintf("response not encodable: %v", err)})
+		}
+		data = append(data, '\n')
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	data = append(data, '\n')
 	_, _ = w.Write(data) // a client gone mid-write is its problem, not an encode failure
 	return status
 }

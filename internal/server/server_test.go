@@ -18,7 +18,7 @@ import (
 )
 
 // testWorld builds a small terrain + POI set once per test.
-func testWorld(t *testing.T) (*terrain.Mesh, []terrain.SurfacePoint, *geodesic.Exact) {
+func testWorld(t testing.TB) (*terrain.Mesh, []terrain.SurfacePoint, *geodesic.Exact) {
 	t.Helper()
 	m, err := gen.Fractal(gen.FractalSpec{NX: 9, NY: 9, CellDX: 10, Amp: 20, Seed: 71})
 	if err != nil {
@@ -31,7 +31,7 @@ func testWorld(t *testing.T) (*terrain.Mesh, []terrain.SurfacePoint, *geodesic.E
 	return m, gen.Dedup(pois, 1e-9), geodesic.NewExact(m)
 }
 
-func seOracle(t *testing.T) *core.Oracle {
+func seOracle(t testing.TB) *core.Oracle {
 	t.Helper()
 	m, pois, eng := testWorld(t)
 	_ = m

@@ -91,8 +91,21 @@ func matrixXYKey(name string, sources, targets [][2]float64) string {
 }
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) int {
+	body, status := s.readBody(w, r)
+	if status != 0 {
+		return status
+	}
+	defer putBody(body)
+	sp, tp := idBufs.get(), idBufs.get()
+	defer idBufs.put(sp)
+	defer idBufs.put(tp)
 	var req matrixRequest
-	if status := s.readJSON(w, r, &req); status != 0 {
+	scan := matrixScan{Sources: *sp, Targets: *tp}
+	accepted := scanMatrix(body.Bytes(), &scan)
+	*sp, *tp = scan.Sources, scan.Targets
+	if accepted {
+		req.Sources, req.Targets, req.Index = scan.Sources, scan.Targets, string(scan.Index)
+	} else if status := s.decodeJSON(w, body.Bytes(), &req); status != 0 {
 		return status
 	}
 	if req.Index == "" {
