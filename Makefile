@@ -23,9 +23,11 @@ test:
 # hot-reload epoch swap and the chaos injector run under concurrent load,
 # and all must stay race-clean). perfecthash and btree are included because
 # their immutable tables are probed from many goroutines in the sharded
-# index.
+# index. internal/core alone takes ~12 minutes under -race on a 2-vCPU
+# machine, past go test's 10-minute default; the explicit timeout gives it
+# twice that.
 race:
-	$(GO) test -race ./internal/core/... ./internal/geodesic/... ./internal/server/... ./internal/chaos/... \
+	$(GO) test -race -timeout 25m ./internal/core/... ./internal/geodesic/... ./internal/server/... ./internal/chaos/... \
 		./internal/perfecthash/... ./internal/btree/...
 
 bench:

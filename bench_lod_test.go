@@ -1,7 +1,7 @@
-// Benchmarks for the LOD shard hierarchy (PR 10): the cost of faulting a
-// lazily loaded member in from the container image (the -mem-budget serving
-// path's cache miss) and the hot cost of a portal-stitched cross-tile
-// query against a same-tile baseline. The cold_fault_ns custom-unit column
+// Benchmarks for the LOD shard hierarchy: the cost of faulting a lazily
+// loaded member in from the container image (the -mem-budget serving path's
+// cache miss) and the hot cost of portal-stitched and coarse-routed
+// cross-tile queries against a same-tile baseline. The cold_fault_ns column
 // lands in BENCH_perf.json's Metrics map as a trajectory series.
 package seoracle
 
@@ -24,6 +24,10 @@ type lodBench struct {
 	crossT  int32
 	sameS   int32 // same-member pair: the intra-tile baseline
 	sameT   int32
+	farS    int32 // widest coarse-routed pair: site regime
+	farT    int32
+	localS  int32 // widest coarse-routed pair in the short-range regime
+	localT  int32
 }
 
 var (
@@ -34,8 +38,9 @@ var (
 // lodBenchWorld builds (once) a 2-level, 4-tile hierarchical index over the
 // sf-small benchmark terrain and picks the measurement pairs: the
 // cross-member pair with the smallest planar separation (guaranteed to
-// route through boundary portals, not the coarse level) and a same-member
-// pair for the baseline.
+// route through boundary portals, not the coarse level), the widest
+// coarse-routed pairs answered by the site scan and by the short-range
+// exact regime, and a same-member pair for the baseline.
 func lodBenchWorld(b *testing.B) *lodBench {
 	b.Helper()
 	lodBenchMu.Lock()
@@ -78,16 +83,44 @@ func lodBenchWorld(b *testing.B) *lodBench {
 		}
 		pts[name] = append(pts[name], int32(g))
 	}
-	best := math.Inf(1)
+	var coarse *core.SiteOracle
+	for _, m := range sh.Members() {
+		if so, ok := m.Index.(*core.SiteOracle); ok {
+			coarse = so
+		}
+	}
+	if coarse == nil {
+		b.Fatal("hierarchical benchmark index has no resident coarse member")
+	}
+	best, farSpan, localSpan := math.Inf(1), -1.0, -1.0
 	for s := 0; s < n; s++ {
 		for t := s + 1; t < n; t++ {
 			if owner[s] == owner[t] {
 				continue
 			}
-			if d := math.Hypot(px[s]-px[t], py[s]-py[t]); d < best {
+			d := math.Hypot(px[s]-px[t], py[s]-py[t])
+			if d < best {
 				best, lb.crossS, lb.crossT = d, int32(s), int32(t)
 			}
+			before, _ := sh.TileStats()
+			local := coarse.LocalQueries()
+			if _, err := sh.Query(int32(s), int32(t)); err != nil {
+				b.Fatal(err)
+			}
+			if after, _ := sh.TileStats(); after.CoarseQueries == before.CoarseQueries {
+				continue
+			}
+			if coarse.LocalQueries() > local {
+				if d > localSpan {
+					localSpan, lb.localS, lb.localT = d, int32(s), int32(t)
+				}
+			} else if d > farSpan {
+				farSpan, lb.farS, lb.farT = d, int32(s), int32(t)
+			}
 		}
+	}
+	if farSpan < 0 || localSpan < 0 {
+		b.Fatalf("coarse-routed pairs: site regime found %v, short-range regime found %v", farSpan >= 0, localSpan >= 0)
 	}
 	if math.IsInf(best, 1) {
 		b.Fatal("no cross-member pair in the benchmark world")
@@ -157,5 +190,33 @@ func BenchmarkSameTileQuery(b *testing.B) {
 		if _, err := lb.sh.Query(lb.sameS, lb.sameT); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCoarseQuery measures the coarse route: a resident hierarchical
+// index answering a cross-member pair through the coarse A2A level. "sites"
+// is the widest such pair, resolved by the site scan alone; "short-range"
+// is the widest pair whose site bound falls below the level's short-range
+// threshold, so the answer also runs the radius-bounded exact SSAD.
+func BenchmarkCoarseQuery(b *testing.B) {
+	lb := lodBenchWorld(b)
+	for _, bc := range []struct {
+		name string
+		s, t int32
+	}{{"sites", lb.farS, lb.farT}, {"short-range", lb.localS, lb.localT}} {
+		b.Run(bc.name, func(b *testing.B) {
+			before, _ := lb.sh.TileStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := lb.sh.Query(bc.s, bc.t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if after, _ := lb.sh.TileStats(); after.CoarseQueries < before.CoarseQueries+int64(b.N) {
+				b.Fatalf("pair (%d,%d) did not take the coarse route", bc.s, bc.t)
+			}
+		})
 	}
 }

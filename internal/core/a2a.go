@@ -138,6 +138,10 @@ func (so *SiteOracle) QueryPoints(s, t terrain.SurfacePoint) (float64, error) {
 	if len(ns) == 0 || len(nt) == 0 {
 		return 0, fmt.Errorf("core: query point has no site neighborhood (bad face id?)")
 	}
+	if s.Face == t.Face && s.Vert < 0 && t.Vert < 0 {
+		// Same face: the straight segment is the geodesic.
+		return s.P.Dist(t.P), nil
+	}
 	best := math.Inf(1)
 	for _, p := range ns {
 		ds := s.P.Dist(so.sites[p].P)
@@ -150,10 +154,6 @@ func (so *SiteOracle) QueryPoints(s, t terrain.SurfacePoint) (float64, error) {
 				best = d
 			}
 		}
-	}
-	if s.Face == t.Face && s.Vert < 0 && t.Vert < 0 {
-		// Same face: the straight segment is the geodesic.
-		return s.P.Dist(t.P), nil
 	}
 	if best <= so.localThreshold {
 		// Short-range regime: the additive site-spacing error would exceed

@@ -134,3 +134,34 @@ func TestSiteOracleSelfQuery(t *testing.T) {
 		t.Errorf("self A2A distance = %v", d)
 	}
 }
+
+// Two interior points of one face are answered by their straight segment,
+// without a site scan or the short-range exact regime, through both the
+// distance and the path query; a bad face id still errors.
+func TestSiteOracleSameFace(t *testing.T) {
+	so, m, _ := buildSite(t, 7, 0.25, 38)
+	for f := int32(0); f < int32(m.NumFaces()); f += 7 {
+		s, tt := m.FacePoint(f, 0.6, 0.3, 0.1), m.FacePoint(f, 0.1, 0.2, 0.7)
+		d, err := so.QueryPoints(s, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, pd, err := so.QueryPathPoints(s, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := s.P.Dist(tt.P); d != want || pd != want || len(path) != 2 {
+			t.Fatalf("face %d: QueryPoints %v, QueryPathPoints %v over %d points; want the segment %v", f, d, pd, len(path), want)
+		}
+	}
+	if n := so.LocalQueries(); n != 0 {
+		t.Fatalf("same-face pairs took the short-range regime %d times", n)
+	}
+	bad := terrain.SurfacePoint{Face: int32(m.NumFaces()), Vert: -1}
+	if _, err := so.QueryPoints(bad, bad); err == nil {
+		t.Error("QueryPoints accepted an out-of-range face id")
+	}
+	if _, _, err := so.QueryPathPoints(bad, bad); err == nil {
+		t.Error("QueryPathPoints accepted an out-of-range face id")
+	}
+}

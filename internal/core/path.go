@@ -216,6 +216,10 @@ func (so *SiteOracle) QueryPathPoints(s, t terrain.SurfacePoint) ([]terrain.Surf
 	if len(ns) == 0 || len(nt) == 0 {
 		return nil, 0, fmt.Errorf("core: query point has no site neighborhood (bad face id?)")
 	}
+	if s.Face == t.Face && s.Vert < 0 && t.Vert < 0 {
+		// Same face: the straight segment is the geodesic.
+		return []terrain.SurfacePoint{s, t}, s.P.Dist(t.P), nil
+	}
 	best := math.Inf(1)
 	bp, bq := int32(-1), int32(-1)
 	for _, p := range ns {
@@ -229,10 +233,6 @@ func (so *SiteOracle) QueryPathPoints(s, t terrain.SurfacePoint) ([]terrain.Surf
 				best, bp, bq = d, p, q
 			}
 		}
-	}
-	if s.Face == t.Face && s.Vert < 0 && t.Vert < 0 {
-		// Same face: the straight segment is the geodesic.
-		return []terrain.SurfacePoint{s, t}, s.P.Dist(t.P), nil
 	}
 	if best <= so.localThreshold {
 		// Short-range regime, exactly as QueryPoints: resolve with an exact

@@ -23,6 +23,14 @@ type Stop struct {
 	Radius float64
 	// CoverTargets halts the expansion as soon as every target's distance is
 	// settled, even if Radius has not been reached.
+	//
+	// With both Radius and CoverTargets set, Exact also prunes goal-directed:
+	// it skips every window and pseudo-source vertex whose distance plus the
+	// straight chord to the nearest target exceeds Radius, since no path
+	// through it can reach a target within Radius. Targets within Radius keep
+	// their distance up to last-bit rounding (pruned windows no longer clip
+	// others, so a few answers move by an ulp or two); targets beyond it still
+	// report +Inf. Calls that set only one of the two are not pruned.
 	CoverTargets bool
 }
 

@@ -126,6 +126,9 @@ type run struct {
 	snap     []*window
 
 	maxKey float64
+	// expanded counts the windows unfolded across their face this run — the
+	// work the goal-directed prune (see propagate) saves.
+	expanded int
 }
 
 // getRun checks a run out of the pool, or builds one sized for the mesh.
@@ -167,6 +170,7 @@ func (r *run) begin(src terrain.SurfacePoint, targets []terrain.SurfacePoint, st
 	r.arena.reset()
 	r.settledN = 0
 	r.maxKey = 0
+	r.expanded = 0
 	r.initTargets(targets)
 	r.initSource(src)
 }
@@ -261,7 +265,20 @@ func (r *run) initSource(src terrain.SurfacePoint) {
 }
 
 // propagate drains the queue until the stop condition fires.
+//
+// A call bounded by both Radius and CoverTargets only has to get right the
+// targets within Radius, so it prunes goal-directed: every path that
+// continues a window (or leaves a pseudo-source vertex) is at least its
+// distance at the edge (vertex) plus the straight 3-D chord from there to
+// the nearest target, because an unfolded geodesic is never shorter than
+// the chord. A popped window whose key plus that gap exceeds Radius, and a
+// vertex event whose label does, has no descendant within Radius and is
+// dropped — marked propagated, like a normal pop. Nothing is reordered, so
+// the surviving work pops exactly as before. The gap is shrunk by a
+// relative margin so rounding can never prune a path that ends within
+// Radius.
 func (r *run) propagate() {
+	prune := r.stop.Radius > 0 && r.stop.CoverTargets && len(r.targets) > 0
 	for len(r.queue) > 0 {
 		it := r.queue.pop()
 		if r.stop.Radius > 0 && it.key > r.stop.Radius {
@@ -278,6 +295,10 @@ func (r *run) propagate() {
 				continue
 			}
 			w.propagated = true
+			if prune && it.key+r.windowGap(w) > r.stop.Radius {
+				continue
+			}
+			r.expanded++
 			r.propagateWindow(w)
 			continue
 		}
@@ -286,10 +307,41 @@ func (r *run) propagate() {
 		if it.key > r.label[v]+1e-12*(1+r.label[v]) {
 			continue // stale
 		}
+		if prune && r.label[v]+r.chordGap(r.m.Verts[v], geom.Vec3{}, 0, 0) > r.stop.Radius {
+			continue
+		}
 		r.spawnFromVertex(v, r.label[v])
 	}
 	// Queue exhausted: everything reachable is settled.
 	r.settleTargets(inf())
+}
+
+// pruneMargin shrinks the prune's chord lower bounds so that a few ulps of
+// rounding in the chord (or in the distances it is added to) cannot push a
+// path that ends within Radius over it.
+const pruneMargin = 1 - 1e-9
+
+// windowGap returns a lower bound on the straight 3-D distance from any
+// point of w's edge interval [b0,b1] to the nearest target.
+func (r *run) windowGap(w *window) float64 {
+	he := r.m.Halfedge(w.he)
+	o := r.m.Verts[he.Org]
+	return r.chordGap(o, r.m.Verts[he.Dst].Sub(o).Scale(1/he.Len), w.b0, w.b1)
+}
+
+// chordGap returns the straight 3-D distance from the segment o + s·u,
+// s in [s0,s1], to the nearest target (from the point o when u is zero),
+// shrunk by pruneMargin.
+func (r *run) chordGap(o, u geom.Vec3, s0, s1 float64) float64 {
+	best := inf()
+	for i := range r.targets {
+		rel := r.targets[i].P.Sub(o)
+		s := math.Max(s0, math.Min(s1, rel.Dot(u)))
+		if d := rel.Sub(u.Scale(s)).Norm(); d < best {
+			best = d
+		}
+	}
+	return best * pruneMargin
 }
 
 // settleTargets marks targets whose estimate can no longer improve.
