@@ -9,7 +9,10 @@
 // requests address a member with ?index=<name> or, for coordinate-addressed
 // endpoints, by whichever member bbox contains the source point. The
 // bounded LRU query cache (-cache, single-flight on misses) deduplicates
-// hot repeated queries; hit/miss counters appear in /statsz.
+// hot repeated requests that do geometry work: coordinate queries and
+// matrices, paths, k-nearest and isochrones. Id distances and id matrices
+// are never cached — the index answers them with a few table probes,
+// cheaper than a cache lookup. Hit/miss counters appear in /statsz.
 //
 // Robustness controls:
 //
@@ -81,7 +84,7 @@ func main() {
 		indexPath   = flag.String("index", "oracle.se", "serialized index container")
 		addr        = flag.String("addr", ":8080", "listen address")
 		useMmap     = flag.Bool("mmap", false, "memory-map the container instead of streaming it")
-		cacheSize   = flag.Int("cache", 1024, "LRU query cache entries (0 disables caching)")
+		cacheSize   = flag.Int("cache", 1024, "LRU cache entries for coordinate queries and matrices, paths, k-nearest and isochrones; id distances and id matrices are never cached (0 disables caching)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrent requests before shedding with 429 (0 = unlimited)")
 		deadline    = flag.Duration("deadline", 0, "per-request deadline; expired bulk queries answer 503 (0 = none)")
 		drain       = flag.Duration("drain", 5*time.Second, "graceful-shutdown budget for in-flight requests")

@@ -54,7 +54,7 @@ func (sp *slicePool[T]) put(s *[]T) {
 var (
 	respBufs = slicePool[byte]{elemSize: 1}     // encoded response bodies
 	pairBufs = slicePool[[2]int32]{elemSize: 8} // scanned /v1/batch pairs
-	distBufs = slicePool[float64]{elemSize: 8}  // /v1/batch distances
+	distBufs = slicePool[float64]{elemSize: 8}  // /v1/batch and id /v1/matrix distances
 	idBufs   = slicePool[int32]{elemSize: 4}    // scanned /v1/matrix sources and targets
 	bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 )

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -324,4 +325,72 @@ func TestBatchAllocsIndependentOfSize(t *testing.T) {
 		t.Fatalf("a batch allocates %v objects at 64 pairs, %v at 1024: allocation grows with the pair count", small, large)
 	}
 	t.Logf("%v allocations per /v1/batch request", small)
+}
+
+// idMatrixBody renders a canonical id /v1/matrix body of a side×side matrix
+// over ids < npois.
+func idMatrixBody(side, npois int) []byte {
+	ids := make([]string, side)
+	for i := range ids {
+		ids[i] = fmt.Sprint(i % npois)
+	}
+	list := "[" + strings.Join(ids, ",") + "]"
+	return []byte(`{"sources":` + list + `,"targets":` + list + `}`)
+}
+
+// TestMatrixAllocsIndependentOfSize: an id /v1/matrix request allocates the
+// same number of objects at 8×8 and at 32×32 cells — nothing per cell — and
+// the larger one does not allocate its distances: they live in a pooled
+// buffer, with the cache on or off. GOMAXPROCS is pinned to 1 while it
+// counts: the row-parallel matrix starts min(GOMAXPROCS, rows) workers,
+// which would differ between 8 and 32 rows on a machine with more than 8
+// CPUs.
+func TestMatrixAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	o := seOracle(t)
+	flat, err := core.ConvertFlat(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	npois := o.Stats().Points
+	for _, cacheSize := range []int{0, 1024} {
+		h := NewWithOptions(flat, Options{CacheSize: cacheSize}).Handler()
+		measure := func(side int) (allocs float64, bytesPerReq uint64) {
+			body := idMatrixBody(side, npois)
+			w := &discardWriter{h: http.Header{}}
+			serve := func() {
+				w.status = 0
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/matrix", bytes.NewReader(body)))
+				if w.status != http.StatusOK {
+					t.Fatalf("%d×%d matrix = %d", side, side, w.status)
+				}
+			}
+			allocs = testing.AllocsPerRun(50, serve)
+			const runs = 100
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < runs; i++ {
+				serve()
+			}
+			runtime.ReadMemStats(&m1)
+			return allocs, (m1.TotalAlloc - m0.TotalAlloc) / runs
+		}
+		smallAllocs, smallBytes := measure(8)
+		largeAllocs, largeBytes := measure(32)
+		if smallAllocs != largeAllocs {
+			t.Errorf("cache %d: a matrix allocates %v objects at 8×8, %v at 32×32: allocation grows with the cell count",
+				cacheSize, smallAllocs, largeAllocs)
+		}
+		// 32×32 distances are 8 KiB; allocating them afresh would add most
+		// of that to the larger request.
+		if grow := int64(largeBytes) - int64(smallBytes); grow > 32*32*8/2 {
+			t.Errorf("cache %d: a 32×32 matrix allocates %d more bytes than an 8×8 one: the distances are not pooled",
+				cacheSize, grow)
+		}
+		t.Logf("cache %d: %v allocations, %d → %d bytes per id /v1/matrix request (8×8 → 32×32)",
+			cacheSize, smallAllocs, smallBytes, largeBytes)
+	}
 }

@@ -14,7 +14,7 @@ import (
 
 // lodWorld builds a 2-level hierarchical sharded index (4 fine tiles, one
 // coarse member, boundary portals) over the shared test terrain.
-func lodWorld(t *testing.T) *core.ShardedIndex {
+func lodWorld(t testing.TB) *core.ShardedIndex {
 	t.Helper()
 	m, pois, eng := testWorld(t)
 	sh, err := core.BuildShardedLOD(eng, m, pois, 4, core.LODOptions{
@@ -32,7 +32,7 @@ func lodWorld(t *testing.T) *core.ShardedIndex {
 }
 
 // crossGlobalPair returns two global ids owned by different members.
-func crossGlobalPair(t *testing.T, sh *core.ShardedIndex) (int32, int32) {
+func crossGlobalPair(t testing.TB, sh *core.ShardedIndex) (int32, int32) {
 	t.Helper()
 	first, _, ok := sh.MemberOf(0)
 	if !ok {

@@ -198,13 +198,17 @@ type stubIndex struct {
 	calls atomic.Int64
 }
 
-func (s *stubIndex) Query(a, b int32) (float64, error) {
+func (s *stubIndex) Query(a, b int32) (float64, error) { return s.answer(a < 0 || b < 0) }
+
+// answer counts one index computation, sleeps delay, and returns d, or an
+// error when bad.
+func (s *stubIndex) answer(bad bool) (float64, error) {
 	s.calls.Add(1)
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
-	if a < 0 || b < 0 {
-		return 0, fmt.Errorf("stub: negative id")
+	if bad {
+		return 0, fmt.Errorf("stub: negative id or coordinate")
 	}
 	return s.d, nil
 }
@@ -216,10 +220,46 @@ func (s *stubIndex) MemoryBytes() int64       { return 0 }
 func (s *stubIndex) Stats() core.IndexStats   { return core.IndexStats{Kind: core.KindSE, Points: 8} }
 func (s *stubIndex) EncodeTo(io.Writer) error { return core.ErrNotEncodable }
 
-// TestQueryCacheHitsAndEviction: repeated queries hit the LRU, /statsz
-// surfaces hit/miss counters, and the entry count never exceeds capacity.
+// stubPointIndex is a stubIndex that also answers coordinate queries, so
+// coordinate /v1/query, the form the cache holds, reaches a scriptable
+// index. QueryXY shares the stub's delay and call counter and fails for a
+// negative sx or tx.
+type stubPointIndex struct{ stubIndex }
+
+func (s *stubPointIndex) QueryXY(sx, _, tx, _ float64) (float64, error) {
+	return s.answer(sx < 0 || tx < 0)
+}
+func (s *stubPointIndex) QueryPoints(_, _ terrain.SurfacePoint) (float64, error) {
+	return s.answer(false)
+}
+func (s *stubPointIndex) Project(x, _ float64) (terrain.SurfacePoint, bool) {
+	return terrain.SurfacePoint{}, x >= 0
+}
+
+// cacheCounters is the /statsz "cache" block.
+type cacheCounters struct {
+	Capacity int   `json:"capacity"`
+	Entries  int   `json:"entries"`
+	Hits     int64 `json:"hits"`
+	Misses   int64 `json:"misses"`
+}
+
+func cacheSnapshot(t *testing.T, ts *httptest.Server) cacheCounters {
+	t.Helper()
+	var st struct {
+		Cache cacheCounters `json:"cache"`
+	}
+	if code := get(t, ts, "/statsz", &st); code != 200 {
+		t.Fatalf("statsz = %d", code)
+	}
+	return st.Cache
+}
+
+// TestQueryCacheHitsAndEviction: repeated coordinate queries hit the LRU,
+// /statsz surfaces hit/miss counters, errors are not cached, and the entry
+// count never exceeds capacity.
 func TestQueryCacheHitsAndEviction(t *testing.T) {
-	stub := &stubIndex{d: 7.5}
+	stub := &stubPointIndex{stubIndex{d: 7.5}}
 	ts := httptest.NewServer(NewWithOptions(stub, Options{CacheSize: 4}).Handler())
 	defer ts.Close()
 
@@ -227,7 +267,7 @@ func TestQueryCacheHitsAndEviction(t *testing.T) {
 		Distance float64 `json:"distance"`
 	}
 	for i := 0; i < 3; i++ {
-		if code := get(t, ts, "/v1/query?s=1&t=2", &qr); code != 200 || qr.Distance != 7.5 {
+		if code := get(t, ts, "/v1/query?sx=1&sy=2&tx=3&ty=4", &qr); code != 200 || qr.Distance != 7.5 {
 			t.Fatalf("query %d = %d %+v", i, code, qr)
 		}
 	}
@@ -235,38 +275,61 @@ func TestQueryCacheHitsAndEviction(t *testing.T) {
 		t.Fatalf("index computed %d times for 3 identical queries, want 1", got)
 	}
 	// Errors are not cached: each bad query recomputes.
-	get(t, ts, "/v1/query?s=-1&t=2", nil)
-	get(t, ts, "/v1/query?s=-1&t=2", nil)
+	get(t, ts, "/v1/query?sx=-1&sy=2&tx=3&ty=4", nil)
+	get(t, ts, "/v1/query?sx=-1&sy=2&tx=3&ty=4", nil)
 	if got := stub.calls.Load(); got != 3 {
 		t.Fatalf("error queries cached: %d calls, want 3", got)
 	}
 	// Fill past capacity with distinct keys; entries stay bounded.
 	for i := 100; i < 110; i++ {
-		get(t, ts, fmt.Sprintf("/v1/query?s=%d&t=%d", i, i+1), nil)
+		get(t, ts, fmt.Sprintf("/v1/query?sx=%d&sy=0&tx=%d&ty=0", i, i+1), nil)
 	}
-	var st struct {
-		Cache struct {
-			Capacity int   `json:"capacity"`
-			Entries  int   `json:"entries"`
-			Hits     int64 `json:"hits"`
-			Misses   int64 `json:"misses"`
-		} `json:"cache"`
+	st := cacheSnapshot(t, ts)
+	if st.Capacity != 4 || st.Entries > 4 {
+		t.Fatalf("cache exceeded capacity: %+v", st)
 	}
-	if code := get(t, ts, "/statsz", &st); code != 200 {
-		t.Fatalf("statsz = %d", code)
+	if st.Hits != 2 || st.Misses != 13 {
+		t.Fatalf("cache counters %+v, want 2 hits / 13 misses", st)
 	}
-	if st.Cache.Capacity != 4 || st.Cache.Entries > 4 {
-		t.Fatalf("cache exceeded capacity: %+v", st.Cache)
+}
+
+// TestProbeEndpointsBypassCache: id distances and id matrices are answered
+// by the index on every request, with the cache on, and never touch the
+// cache counters.
+func TestProbeEndpointsBypassCache(t *testing.T) {
+	stub := &stubIndex{d: 2.5}
+	ts := httptest.NewServer(NewWithOptions(stub, Options{CacheSize: 16}).Handler())
+	defer ts.Close()
+
+	const n = 5
+	for i := 0; i < n; i++ {
+		if code := get(t, ts, "/v1/query?s=1&t=2", nil); code != 200 {
+			t.Fatalf("id query %d = %d", i, code)
+		}
 	}
-	if st.Cache.Hits != 2 || st.Cache.Misses != 13 {
-		t.Fatalf("cache counters %+v, want 2 hits / 13 misses", st.Cache)
+	if got := stub.calls.Load(); got != n {
+		t.Fatalf("%d identical id queries made %d index calls, want %d", n, got, n)
+	}
+	// The stub has no MatrixIndex, so each 1x2 matrix is a per-cell sweep:
+	// two index calls per request.
+	body := map[string]interface{}{"sources": []int32{1}, "targets": []int32{2, 3}}
+	for i := 0; i < n; i++ {
+		if code := post(t, ts, "/v1/matrix", body, nil); code != 200 {
+			t.Fatalf("id matrix %d = %d", i, code)
+		}
+	}
+	if got := stub.calls.Load(); got != 3*n {
+		t.Fatalf("%d identical id matrices made %d index calls in all, want %d", n, got, 3*n)
+	}
+	if st := cacheSnapshot(t, ts); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("id queries and matrices touched the cache: %+v", st)
 	}
 }
 
 // TestQueryCacheSingleFlight: concurrent identical misses share ONE index
 // computation.
 func TestQueryCacheSingleFlight(t *testing.T) {
-	stub := &stubIndex{d: 3.25, delay: 50 * time.Millisecond}
+	stub := &stubPointIndex{stubIndex{d: 3.25, delay: 50 * time.Millisecond}}
 	ts := httptest.NewServer(NewWithOptions(stub, Options{CacheSize: 16}).Handler())
 	defer ts.Close()
 
@@ -277,7 +340,7 @@ func TestQueryCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := ts.Client().Get(ts.URL + "/v1/query?s=5&t=6")
+			resp, err := ts.Client().Get(ts.URL + "/v1/query?sx=5&sy=0&tx=6&ty=0")
 			if err != nil {
 				errs <- err
 				return

@@ -207,9 +207,12 @@ func TestPanicRecoveredAndCounted(t *testing.T) {
 	}
 }
 
+// TestHotReloadSwapsIndexAndCache: a reload swaps the index and strands
+// the old generation's cache entries. It uses coordinate queries, the
+// cached form of /v1/query.
 func TestHotReloadSwapsIndexAndCache(t *testing.T) {
-	old := &stubIndex{d: 1}
-	next := &stubIndex{d: 2}
+	old := &stubPointIndex{stubIndex{d: 1}}
+	next := &stubPointIndex{stubIndex{d: 2}}
 	s := NewWithOptions(old, Options{
 		CacheSize: 8,
 		Loader: func() (core.DistanceIndex, []core.Quarantined, error) {
@@ -224,7 +227,7 @@ func TestHotReloadSwapsIndexAndCache(t *testing.T) {
 	}
 	// Prime the cache on generation 0.
 	for i := 0; i < 2; i++ {
-		if code := get(t, ts, "/v1/query?s=1&t=2", &qr); code != 200 || qr.Distance != 1 {
+		if code := get(t, ts, "/v1/query?sx=1&sy=0&tx=2&ty=0", &qr); code != 200 || qr.Distance != 1 {
 			t.Fatalf("pre-reload query = %d %+v", code, qr)
 		}
 	}
@@ -245,7 +248,7 @@ func TestHotReloadSwapsIndexAndCache(t *testing.T) {
 
 	// The same query now answers from the NEW index: the old generation's
 	// cache entry is unreachable, not served stale.
-	if code := get(t, ts, "/v1/query?s=1&t=2", &qr); code != 200 || qr.Distance != 2 {
+	if code := get(t, ts, "/v1/query?sx=1&sy=0&tx=2&ty=0", &qr); code != 200 || qr.Distance != 2 {
 		t.Fatalf("post-reload query = %d %+v, want d=2", code, qr)
 	}
 	if next.calls.Load() != 1 {

@@ -5,6 +5,13 @@
 // counters, per-index routing counters, and an optional bounded LRU query
 // cache with single-flight miss coalescing.
 //
+// The cache holds only answers that cost geometry work beyond table
+// probes: coordinate /v1/query and /v1/matrix, /v1/path, k-nearest and
+// /v1/isochrone. Id distances (/v1/query with s, t) and id matrices are
+// never cached: the index answers them with a few hash probes, which is
+// cheaper than a cache lookup, so it is their cache. /v1/batch is never
+// cached either.
+//
 // Endpoints:
 //
 //	GET/POST /v1/query      one distance: ids (s, t) or planar coords (sx, sy, tx, ty)
@@ -76,6 +83,9 @@ const DefaultMaxBodyBytes = 64 << 20
 // Options configures a Server beyond its index.
 type Options struct {
 	// CacheSize bounds the LRU query cache (entries); 0 disables caching.
+	// The cache holds coordinate distances and matrices, paths, k-nearest
+	// lists and isochrones. Id distances, id matrices and batches are
+	// answered by the index directly whatever CacheSize is.
 	CacheSize int
 	// MaxInFlight bounds concurrently served requests (observability and
 	// admin endpoints are exempt); excess requests are shed with a counted
@@ -540,23 +550,15 @@ func (s *Server) resolveXY(ep *epoch, name string, sx, sy, tx, ty *float64) (*ta
 	return s.resolve(ep, name, sx, sy)
 }
 
-// cachedQuery answers a distance through the LRU + single-flight cache
-// when enabled. Keys are scoped to the epoch's generation, so a reload
-// invalidates every cached answer at once.
-func (s *Server) cachedQuery(ep *epoch, key string, fn func() (float64, error)) (float64, error) {
-	if s.cache == nil {
-		return fn()
-	}
-	v, _, err := s.cache.do(ep.genPrefix+key, func() (any, error) { return fn() })
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
-}
-
-// cachedValue answers an arbitrary response value (e.g. a path response)
-// through the same generation-scoped cache. Cached values are shared across
-// requests and must be immutable.
+// cachedValue answers a response value (a coordinate distance, a path
+// response, ...) through the LRU + single-flight cache when enabled. Keys
+// are scoped to the epoch's generation, so a reload invalidates every
+// cached answer at once. Cached values are shared across requests and must
+// be immutable.
+//
+// Only requests that do geometry work beyond table probes come through
+// here. Id distances and id matrices never do: the index answers them with
+// a few hash probes, which cost less than a cache lookup.
 func (s *Server) cachedValue(ep *epoch, key string, fn func() (any, error)) (any, error) {
 	if s.cache == nil {
 		return fn()
@@ -565,11 +567,12 @@ func (s *Server) cachedValue(ep *epoch, key string, fn func() (any, error)) (any
 	return v, err
 }
 
-// Cache keys are prefixed by address shape ("i" ids, "c" coords) and the
-// querying endpoint family ("" distance, "p" path), so a path response can
-// never be served where a float is expected.
-func idKey(family, name string, s, t int32) string {
-	return family + "i|" + name + "|" + strconv.FormatInt(int64(s), 10) + "|" + strconv.FormatInt(int64(t), 10)
+// Cache keys are prefixed by the endpoint family ("" distance, "p" path)
+// and the address shape ("i" ids, "c" coords), so a path response can never
+// be served where a float is expected. Id distances are not cached, so the
+// only id-addressed pair key is a path's.
+func pathIDKey(name string, s, t int32) string {
+	return "pi|" + name + "|" + strconv.FormatInt(int64(s), 10) + "|" + strconv.FormatInt(int64(t), 10)
 }
 
 func xyKey(family, name string, sx, sy, tx, ty float64) string {
@@ -717,9 +720,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) int {
 			return s.writeError(w, status, "%s", msg)
 		}
 		tgt.queries.Add(1)
-		d, err := s.cachedQuery(ep, idKey("", tgt.name, *req.S, *req.T), func() (float64, error) {
-			return tgt.idx.Query(*req.S, *req.T)
-		})
+		// The index is the cache for id pairs: its probe costs less than an
+		// LRU lookup, so the answer comes straight from it.
+		d, err := tgt.idx.Query(*req.S, *req.T)
 		if err != nil {
 			return s.writeError(w, s.queryFailStatus(err, http.StatusBadRequest), "query: %v", err)
 		}
@@ -734,22 +737,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) int {
 				"index kind %s answers id queries only; coordinate queries need an a2a index", tgt.kind)
 		}
 		tgt.queries.Add(1)
-		d, err := s.cachedQuery(ep, xyKey("", tgt.name, *req.SX, *req.SY, *req.TX, *req.TY), func() (float64, error) {
+		v, err := s.cachedValue(ep, xyKey("", tgt.name, *req.SX, *req.SY, *req.TX, *req.TY), func() (any, error) {
 			return tgt.pt.QueryXY(*req.SX, *req.SY, *req.TX, *req.TY)
 		})
 		if err != nil {
 			return s.writeError(w, s.queryFailStatus(err, http.StatusBadRequest), "query: %v", err)
 		}
-		return s.writeJSON(w, http.StatusOK, queryResponse{Distance: d, Kind: tgt.kind, Index: tgt.name})
+		return s.writeJSON(w, http.StatusOK, queryResponse{Distance: v.(float64), Kind: tgt.kind, Index: tgt.name})
 	}
 	return s.writeError(w, http.StatusBadRequest,
 		"need endpoint ids (s, t) or planar coordinates (sx, sy, tx, ty)")
 }
 
 // handlePath serves the surface path behind a distance query as a GeoJSON
-// LineString Feature. Routing, member addressing and the query cache work
-// exactly as on /v1/query; the cached value is the fully built response,
-// so a repeated path query costs one LRU probe.
+// LineString Feature. Routing and member addressing work exactly as on
+// /v1/query. Both address forms go through the query cache (a path costs
+// microseconds of geodesic work); the cached value is the fully built
+// response, so a repeated path query costs one LRU probe.
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) int {
 	req, status := s.parsePairRequest(w, r)
 	if status != 0 {
@@ -767,7 +771,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) int {
 			return s.writeError(w, http.StatusNotImplemented, "index kind %s cannot report paths", tgt.kind)
 		}
 		tgt.queries.Add(1)
-		v, err := s.cachedValue(ep, idKey("p", tgt.name, *req.S, *req.T), func() (any, error) {
+		v, err := s.cachedValue(ep, pathIDKey(tgt.name, *req.S, *req.T), func() (any, error) {
 			path, d, err := core.QueryPathCtx(ctx, tgt.pi, *req.S, *req.T)
 			if err != nil {
 				return nil, err

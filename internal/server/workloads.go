@@ -5,13 +5,16 @@ package server
 // endpoints (/v1/nearest?k=N, sharing /v1/nearest's handler), and
 // reachability isochrones (/v1/isochrone). Each reuses the server's
 // routing (explicit name wins, bbox for coordinates, id-ambiguity 400 on
-// an unnamed multi), the LRU + single-flight cache under its own key
-// family, and the per-endpoint /statsz counters route() attaches.
+// an unnamed multi) and the per-endpoint /statsz counters route() attaches.
+// Coordinate matrices, k-nearest lists and isochrones go through the LRU +
+// single-flight cache under their own key families; id matrices are table
+// probes and are answered by the index directly.
 
 import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -26,9 +29,9 @@ const (
 	MaxMatrixCells = 1 << 20
 	// MaxNearestK bounds /v1/nearest's k for the same reason.
 	MaxNearestK = 1 << 12
-	// maxCachedMatrixCells bounds which matrix responses enter the LRU: the
-	// cache counts entries, not bytes, so giant matrices (and their giant
-	// keys) bypass it rather than pinning megabytes per slot.
+	// maxCachedMatrixCells bounds which coordinate matrix responses enter
+	// the LRU: the cache counts entries, not bytes, so giant matrices (and
+	// their giant keys) bypass it rather than pinning megabytes per slot.
 	maxCachedMatrixCells = 4096
 )
 
@@ -53,23 +56,6 @@ type matrixResponse struct {
 	Errors    []string  `json:"errors,omitempty"`
 	Kind      core.Kind `json:"kind"`
 	Index     string    `json:"index,omitempty"`
-}
-
-// matrixIDKey builds the cache key of an id-addressed matrix (family "m").
-func matrixIDKey(name string, sources, targets []int32) string {
-	var b strings.Builder
-	b.WriteString("mi|")
-	b.WriteString(name)
-	for _, id := range sources {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatInt(int64(id), 10))
-	}
-	b.WriteString("|x")
-	for _, id := range targets {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatInt(int64(id), 10))
-	}
-	return b.String()
 }
 
 // matrixXYKey builds the cache key of a coordinate-addressed matrix
@@ -141,18 +127,16 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) int {
 			return s.writeError(w, status, "%s", msg)
 		}
 		tgt.queries.Add(1)
-		compute := func() (any, error) { return s.computeIDMatrix(ctx, tgt, req.Sources, req.Targets) }
-		var v any
-		var err error
-		if rows*cols <= maxCachedMatrixCells {
-			v, err = s.cachedValue(ep, matrixIDKey(tgt.name, req.Sources, req.Targets), compute)
-		} else {
-			v, err = compute()
-		}
+		// Id matrices are table probes, answered by the index directly and
+		// never cached, so the distances can live in a pooled buffer.
+		dp := distBufs.get()
+		defer distBufs.put(dp)
+		res, err := s.computeIDMatrix(ctx, tgt, req.Sources, req.Targets, *dp)
 		if err != nil {
 			return s.writeError(w, s.queryFailStatus(err, http.StatusBadRequest), "matrix: %v", err)
 		}
-		return s.writeJSON(w, http.StatusOK, v)
+		*dp = res.Distances
+		return s.writeJSON(w, http.StatusOK, res)
 	}
 	for _, c := range append(append([][2]float64{}, req.SourceCoords...), req.TargetCoords...) {
 		if status := s.checkCoords(w, &c[0], &c[1]); status != 0 {
@@ -184,17 +168,18 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) int {
 	return s.writeJSON(w, http.StatusOK, v)
 }
 
-// computeIDMatrix answers an id-addressed matrix: the engine's row-parallel
-// ctx-aware QueryMatrixCtx when every cell is valid, else a per-cell Query
-// sweep that fills one error slot per failing cell. A cancelled request
-// context aborts either path with the (counted-by-the-caller) ctx error —
-// expired work must stop computing, not fall through to the sweep.
-func (s *Server) computeIDMatrix(ctx context.Context, tgt *target, sources, targets []int32) (matrixResponse, error) {
+// computeIDMatrix answers an id-addressed matrix into buf's storage (grown
+// when too small): the engine's row-parallel ctx-aware QueryMatrixCtx when
+// every cell is valid, else a per-cell Query sweep that fills one error
+// slot per failing cell. A cancelled request context aborts either path
+// with the (counted-by-the-caller) ctx error — expired work must stop
+// computing, not fall through to the sweep.
+func (s *Server) computeIDMatrix(ctx context.Context, tgt *target, sources, targets []int32, buf []float64) (matrixResponse, error) {
 	res := matrixResponse{Rows: len(sources), Cols: len(targets), Kind: tgt.kind, Index: tgt.name}
 	if tgt.mi != nil {
-		dst, err := core.QueryMatrixCtx(ctx, tgt.idx, sources, targets, nil)
+		out, err := core.QueryMatrixCtx(ctx, tgt.idx, sources, targets, buf)
 		if err == nil {
-			res.Distances = dst
+			res.Distances = out
 			return res, nil
 		}
 		if core.IsContextErr(err) {
@@ -202,7 +187,8 @@ func (s *Server) computeIDMatrix(ctx context.Context, tgt *target, sources, targ
 		}
 	}
 	cols := len(targets)
-	res.Distances = make([]float64, len(sources)*cols)
+	res.Distances = slices.Grow(buf[:0], len(sources)*cols)[:len(sources)*cols]
+	clear(res.Distances) // a failing cell answers 0, whatever the buffer held
 	errs := make([]string, len(sources)*cols)
 	failed := false
 	for i, src := range sources {

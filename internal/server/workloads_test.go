@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -119,6 +122,55 @@ func TestMatrixPerCellErrors(t *testing.T) {
 		if mr.Distances[j] != want {
 			t.Errorf("valid cell %d = %g, want %g", j, mr.Distances[j], want)
 		}
+	}
+}
+
+// TestMatrixPerCellErrorsWireBytes: the per-cell fallback sweep answers the
+// exact bytes the per-cell contract defines — json.Marshal of a response
+// whose cells are Query's answers or error texts, failing cells 0 — with
+// the cache on or off. A full matrix served first leaves non-zero
+// distances in the pooled buffer, which must not leak into failing cells.
+func TestMatrixPerCellErrorsWireBytes(t *testing.T) {
+	o := seOracle(t)
+	sources, targets := []int32{0, 9999, 3}, []int32{1, -1, 2}
+	want := matrixResponse{Rows: 3, Cols: 3, Kind: core.KindSE,
+		Distances: make([]float64, 9), Errors: make([]string, 9)}
+	for i, s := range sources {
+		for j, tt := range targets {
+			d, err := o.Query(s, tt)
+			if err != nil {
+				want.Errors[i*3+j] = err.Error()
+				continue
+			}
+			want.Distances[i*3+j] = d
+		}
+	}
+	wantBytes, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes = append(wantBytes, '\n')
+	for _, cacheSize := range []int{0, 64} {
+		ts := httptest.NewServer(NewWithOptions(o, Options{CacheSize: cacheSize}).Handler())
+		full := `{"sources":[0,1,2,3,4,5,6,7],"targets":[7,6,5,4,3,2,1,0]}`
+		for _, body := range []string{full, `{"sources":[0,9999,3],"targets":[1,-1,2]}`} {
+			resp, err := ts.Client().Post(ts.URL+"/v1/matrix", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("cache %d: matrix %s = %d %s", cacheSize, body, resp.StatusCode, got)
+			}
+			if body != full && !bytes.Equal(got, wantBytes) {
+				t.Errorf("cache %d: per-cell error matrix answered\n%s\nwant\n%s", cacheSize, got, wantBytes)
+			}
+		}
+		ts.Close()
 	}
 }
 
@@ -403,42 +455,43 @@ func TestIsochroneOnMulti(t *testing.T) {
 	}
 }
 
-// TestWorkloadCacheHits: repeated matrix, nearest-k and isochrone requests
-// are served from the LRU under their own key families.
+// TestWorkloadCacheHits: repeated coordinate matrix, nearest-k and
+// isochrone requests are served from the LRU under their own key families.
+// Id matrices are table probes and never reach the cache (see
+// TestProbeEndpointsBypassCache), so the matrix here is a coordinate one
+// on an a2a index.
 func TestWorkloadCacheHits(t *testing.T) {
-	ts := httptest.NewServer(NewWithOptions(seOracle(t), Options{CacheSize: 64}).Handler())
+	m, _, eng := testWorld(t)
+	so, err := core.BuildSiteOracle(eng, m, core.SiteOptions{Options: core.Options{Epsilon: 0.3, Seed: 74}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewWithOptions(so, Options{CacheSize: 64}).Handler())
 	defer ts.Close()
 
-	snapshot := func() (hits, misses int64) {
-		var st struct {
-			Cache struct {
-				Hits   int64 `json:"hits"`
-				Misses int64 `json:"misses"`
-			} `json:"cache"`
-		}
-		if code := get(t, ts, "/statsz", &st); code != 200 {
-			t.Fatalf("statsz = %d", code)
-		}
-		return st.Cache.Hits, st.Cache.Misses
+	a := m.FacePoint(0, 0.4, 0.3, 0.3)
+	b := m.FacePoint(int32(m.NumFaces()-1), 0.3, 0.4, 0.3)
+	body := map[string]interface{}{
+		"source_coords": [][2]float64{{a.P.X, a.P.Y}, {b.P.X, b.P.Y}},
+		"target_coords": [][2]float64{{b.P.X, b.P.Y}, {a.P.X, a.P.Y}},
 	}
-	body := map[string]interface{}{"sources": []int32{0, 1}, "targets": []int32{2, 3}}
 	var first, second matrixBody
-	post(t, ts, "/v1/matrix", body, &first)
+	if code := post(t, ts, "/v1/matrix", body, &first); code != 200 {
+		t.Fatalf("coord matrix = %d", code)
+	}
 	get(t, ts, "/v1/nearest?x=5&y=5&k=2", nil)
 	get(t, ts, "/v1/isochrone?s=0&d=50", nil)
-	h0, m0 := snapshot()
-	if h0 != 0 || m0 != 3 {
-		t.Fatalf("after first pass: hits=%d misses=%d, want 0/3", h0, m0)
+	if st := cacheSnapshot(t, ts); st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("after first pass: hits=%d misses=%d, want 0/3", st.Hits, st.Misses)
 	}
 	post(t, ts, "/v1/matrix", body, &second)
 	get(t, ts, "/v1/nearest?x=5&y=5&k=2", nil)
 	get(t, ts, "/v1/isochrone?s=0&d=50", nil)
-	h1, m1 := snapshot()
-	if h1 != 3 || m1 != 3 {
-		t.Fatalf("after repeat pass: hits=%d misses=%d, want 3/3", h1, m1)
+	if st := cacheSnapshot(t, ts); st.Hits != 3 || st.Misses != 3 {
+		t.Fatalf("after repeat pass: hits=%d misses=%d, want 3/3", st.Hits, st.Misses)
 	}
-	if len(first.Distances) != len(second.Distances) {
-		t.Fatal("cached matrix response differs")
+	if len(first.Distances) != 4 || len(first.Distances) != len(second.Distances) {
+		t.Fatalf("cached matrix response differs: %d vs %d cells", len(first.Distances), len(second.Distances))
 	}
 	for i := range first.Distances {
 		if first.Distances[i] != second.Distances[i] {
