@@ -42,10 +42,13 @@ bench-smoke:
 # append a labeled run to BENCH_perf.json —
 # the measured perf trajectory every perf PR records itself into and diffs
 # against. CI uploads the file as an artifact on pushes to main. The server
-# benchmarks take five samples each, so `bench-check` has a spread to gate
-# on; the root suite keeps one.
+# benchmarks and the root benchmarks named in MULTI_BENCH take five samples
+# each, so `bench-check` has a spread to gate on; the rest of the root
+# suite keeps one (-skip keeps the two root passes disjoint).
+MULTI_BENCH = ^Benchmark(ColdStartFirstQuery|ColdFault|Fig8_QuerySE|Fig8_QueryFlat)$$
 bench-json:
-	{ $(GO) test -bench=. -benchmem -run='^$$' -benchtime=$(BENCHTIME) . && \
+	{ $(GO) test -bench=. -skip='$(MULTI_BENCH)' -benchmem -run='^$$' -benchtime=$(BENCHTIME) . && \
+	  $(GO) test -bench='$(MULTI_BENCH)' -benchmem -run='^$$' -benchtime=$(BENCHTIME) -count=5 . && \
 	  $(GO) test -bench=. -benchmem -run='^$$' -benchtime=$(BENCHTIME) -count=5 ./internal/server; } \
 		| $(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -o BENCH_perf.json
 

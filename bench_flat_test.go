@@ -94,7 +94,7 @@ func coldWorldAt(b *testing.B, mult int) *coldWorld {
 
 // BenchmarkColdStartFirstQuery measures load-a-container-and-answer-one-
 // query, the latency a serving process pays between mapping a file and
-// its first useful answer. Each iteration runs core.LoadBytes on the
+// its first useful answer. Each iteration runs core.LoadBytesOpts on the
 // pre-encoded image plus one Query. The decoded layout pays a full-image
 // CRC and section decode (linear in the pair table); the flat layout
 // validates a fixed-size header and slab directory, so its ns/op must
@@ -111,7 +111,7 @@ func BenchmarkColdStartFirstQuery(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					idx, err := core.LoadBytes(lay.blob, nil)
+					idx, _, err := core.LoadBytesOpts(lay.blob, nil, core.LoadOptions{})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -27,6 +27,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -103,11 +104,16 @@ func main() {
 		case strings.HasPrefix(line, "cpu: "):
 			run.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "pkg: "):
-			// A multi-package run records every package, in run order.
+			// A multi-package run records every package once, in run order
+			// (one package may come from several go test passes).
+			pkg := strings.TrimPrefix(line, "pkg: ")
+			if slices.Contains(strings.Fields(run.Package), pkg) {
+				break
+			}
 			if run.Package != "" {
 				run.Package += " "
 			}
-			run.Package += strings.TrimPrefix(line, "pkg: ")
+			run.Package += pkg
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBenchLine(line); ok {
 				run.Benchmarks = append(run.Benchmarks, b)

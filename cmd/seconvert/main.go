@@ -10,10 +10,9 @@
 //
 //	seconvert -in oracle.sedx -out oracle.flat.sedx [-layout flat]
 //
-// The input may be any container sebuild writes (legacy bare streams
-// included); kinds without a flat form (a2a, dynamic) are rejected. The
-// output is written atomically: to a temp file in the destination
-// directory, then renamed over -out.
+// The input may be any container sebuild writes; kinds without a flat form
+// (a2a, dynamic) are rejected. The output is written atomically: to a temp
+// file in the destination directory, then renamed over -out.
 package main
 
 import (
@@ -23,6 +22,7 @@ import (
 	"path/filepath"
 
 	"seoracle/internal/core"
+	"seoracle/internal/server"
 )
 
 func main() {
@@ -40,7 +40,7 @@ func main() {
 		fatal("unknown -layout %q (want flat)", *layout)
 	}
 
-	idx, err := core.LoadFile(*in)
+	idx, _, err := server.LoadIndexOpts(*in, false, core.LoadOptions{})
 	if err != nil {
 		fatal("loading %s: %v", *in, err)
 	}

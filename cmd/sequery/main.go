@@ -1,5 +1,5 @@
 // Command sequery loads a serialized index container of any kind (se, a2a,
-// dynamic — or a legacy bare oracle stream) and answers distance queries:
+// dynamic, flat or multi) and answers distance queries:
 // from the command line by endpoint id or planar coordinates, as a batch
 // from stdin ("s t" id pairs, one per line), or as an in-process throughput
 // benchmark over random pairs. With -path it reports the surface path
@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"seoracle/internal/core"
+	"seoracle/internal/server"
 	"seoracle/internal/terrain"
 )
 
@@ -69,7 +70,7 @@ func main() {
 	)
 	flag.Parse()
 
-	idx, err := core.LoadFile(*oraclePath)
+	idx, _, err := server.LoadIndexOpts(*oraclePath, false, core.LoadOptions{})
 	if err != nil {
 		fatal("loading index: %v", err)
 	}

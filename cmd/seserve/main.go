@@ -83,7 +83,7 @@ func main() {
 	var (
 		indexPath   = flag.String("index", "oracle.se", "serialized index container")
 		addr        = flag.String("addr", ":8080", "listen address")
-		useMmap     = flag.Bool("mmap", false, "memory-map the container instead of streaming it")
+		useMmap     = flag.Bool("mmap", false, "memory-map the container instead of reading it into memory")
 		cacheSize   = flag.Int("cache", 1024, "LRU cache entries for coordinate queries and matrices, paths, k-nearest and isochrones; id distances and id matrices are never cached (0 disables caching)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrent requests before shedding with 429 (0 = unlimited)")
 		deadline    = flag.Duration("deadline", 0, "per-request deadline; expired bulk queries answer 503 (0 = none)")

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // The query fast path must not touch the allocator: pathOf indexes the
 // precomputed slab and lookup probes the flat hash, so a successful Query is
@@ -116,18 +113,14 @@ func TestSelfQueryFastPath(t *testing.T) {
 }
 
 // The precomputed path slab must agree with a parent-pointer walk — on a
-// freshly built oracle and on one rebuilt by Decode, whose slab is
+// freshly built oracle and on one rebuilt by Load, whose slab is
 // recomputed from the deserialized tree.
 func TestPathSlabMatchesParentWalk(t *testing.T) {
 	w := newTestWorld(t, 13, 28, 107)
 	built := w.build(t, Options{Epsilon: 0.2, Seed: 109})
-	var buf bytes.Buffer
-	if err := built.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
+	decoded, ok := loadIndex(t, encodeIndex(t, built)).(*Oracle)
+	if !ok {
+		t.Fatal("se container did not load as *Oracle")
 	}
 	for name, o := range map[string]*Oracle{"built": built, "decoded": decoded} {
 		for p := int32(0); p < int32(o.NumPOIs()); p++ {

@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"sort"
 
 	"seoracle/internal/geom"
@@ -43,7 +42,7 @@ const (
 // Section ids. The id space is shared across kinds; each kind's decoder
 // demands the sections it needs and ignores the rest.
 const (
-	secOracle    uint32 = 1  // SE oracle body (tree + pairs), the legacy stream sans magic
+	secOracle    uint32 = 1  // SE oracle body (tree + pairs)
 	secPoints    uint32 = 2  // indexed POI surface points (for /v1/nearest)
 	secMesh      uint32 = 3  // terrain mesh: vertices + faces
 	secSites     uint32 = 4  // site surface points (KindA2A)
@@ -60,30 +59,6 @@ const (
 	// secMemberBase+i, in manifest order.
 	secMemberBase uint32 = 64
 )
-
-// kindDecoder turns a validated section map back into a concrete index.
-type kindDecoder func(secs map[uint32][]byte) (DistanceIndex, error)
-
-// kindRegistry maps the container kind tag to its decoder. Decoders for the
-// built-in kinds are registered below; RegisterKind admits future kinds.
-var kindRegistry = map[Kind]kindDecoder{}
-
-// RegisterKind installs a decoder for a container kind tag. It panics on a
-// duplicate registration — kind tags are format identity, not preferences.
-func RegisterKind(k Kind, dec kindDecoder) {
-	if _, dup := kindRegistry[k]; dup {
-		panic(fmt.Sprintf("core: duplicate container kind %d", uint16(k)))
-	}
-	kindRegistry[k] = dec
-}
-
-func init() {
-	RegisterKind(KindSE, decodeSEContainer)
-	RegisterKind(KindA2A, decodeA2AContainer)
-	RegisterKind(KindDynamic, decodeDynamicContainer)
-	RegisterKind(KindMulti, decodeMultiContainer)
-	RegisterKind(KindFlat, decodeFlatContainer)
-}
 
 // section is one length-framed payload queued for writing. Payloads are
 // streamed: length is declared up front (every section layout is a fixed
@@ -200,167 +175,12 @@ func writeContainer(w io.Writer, kind Kind, secs []section) error {
 	return cw.finish()
 }
 
-// crcReader updates a running CRC32 with every byte read through it.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-// readBounded reads exactly n bytes in bounded chunks, so a corrupt header
-// declaring a huge length commits memory proportional to the bytes actually
-// present, not to the declared size. Chunks are read directly into the
-// (amortized-doubling) result buffer — no per-chunk scratch copies.
-func readBounded(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	var buf []byte
-	for uint64(len(buf)) < n {
-		c := int(min(n-uint64(len(buf)), chunk))
-		start := len(buf)
-		if cap(buf)-start < c {
-			grown := make([]byte, start, min(uint64(2*(start+c)), n))
-			copy(grown, buf)
-			buf = grown
-		}
-		buf = buf[:start+c]
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// readContainer parses the envelope, verifies the CRC footer, and returns
-// the kind tag with the section map.
-func readContainer(br *bufio.Reader) (Kind, map[uint32][]byte, error) {
-	kind, secs, crcErr, err := readContainerLenient(br)
-	if err != nil {
-		return 0, nil, err
-	}
-	if crcErr != nil {
-		return 0, nil, crcErr
-	}
-	return kind, secs, nil
-}
-
-// readContainerLenient parses the envelope like readContainer but reports a
-// CRC-footer mismatch separately from structural failures: a degraded
-// (fault-tolerant) load of a multi container falls back to the members' own
-// inner CRCs to localize the corruption, so the outer mismatch must not
-// abort the parse. Structural damage — bad magic, unreadable headers,
-// truncation — is still fatal: without intact section framing there is
-// nothing to degrade to.
-func readContainerLenient(br *bufio.Reader) (Kind, map[uint32][]byte, error, error) {
-	cr := &crcReader{r: br}
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return 0, nil, nil, fmt.Errorf("core: reading container magic: %w", err)
-	}
-	if string(magic[:]) != containerMagic {
-		return 0, nil, nil, fmt.Errorf("core: bad container magic %q", magic[:])
-	}
-	var version, kind uint16
-	var nsect uint32
-	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
-		return 0, nil, nil, fmt.Errorf("core: reading container header: %w", err)
-	}
-	if version != containerVersion {
-		return 0, nil, nil, fmt.Errorf("core: unsupported container version %d (this build reads %d)", version, containerVersion)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &kind); err != nil {
-		return 0, nil, nil, fmt.Errorf("core: reading container header: %w", err)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &nsect); err != nil {
-		return 0, nil, nil, fmt.Errorf("core: reading container header: %w", err)
-	}
-	if nsect > maxContainerSections {
-		return 0, nil, nil, fmt.Errorf("core: container declares %d sections (max %d)", nsect, maxContainerSections)
-	}
-	secs := make(map[uint32][]byte, nsect)
-	for i := uint32(0); i < nsect; i++ {
-		var id uint32
-		var length uint64
-		if err := binary.Read(cr, binary.LittleEndian, &id); err != nil {
-			return 0, nil, nil, fmt.Errorf("core: reading section %d header: %w", i, err)
-		}
-		if err := binary.Read(cr, binary.LittleEndian, &length); err != nil {
-			return 0, nil, nil, fmt.Errorf("core: reading section %d header: %w", i, err)
-		}
-		if _, dup := secs[id]; dup {
-			return 0, nil, nil, fmt.Errorf("core: duplicate container section %d", id)
-		}
-		payload, err := readBounded(cr, length)
-		if err != nil {
-			return 0, nil, nil, fmt.Errorf("core: reading section %d (%d bytes declared): %w", id, length, err)
-		}
-		secs[id] = payload
-	}
-	var stored uint32
-	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-		return 0, nil, nil, fmt.Errorf("core: reading container CRC footer: %w", err)
-	}
-	var crcErr error
-	if stored != cr.crc {
-		crcErr = fmt.Errorf("core: container CRC mismatch (stored %#x, computed %#x): file truncated or corrupt", stored, cr.crc)
-	}
-	return Kind(kind), secs, crcErr, nil
-}
-
-// Load reads any serialized index container and returns the concrete type
-// behind the DistanceIndex. It also accepts the legacy bare-oracle stream
-// ("SEO1") that Oracle.Encode wrote before the container format existed, so
-// previously saved SE files keep loading.
-func Load(r io.Reader) (DistanceIndex, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading index header: %w", err)
-	}
-	if isLegacyMagic(head) {
-		o, err := decodeLegacy(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: legacy (pre-container) oracle stream: %w", err)
-		}
-		return o, nil
-	}
-	if string(head) != containerMagic {
-		return nil, fmt.Errorf("core: bad index magic %q: not an index container (and not a legacy %q oracle stream)", head, "SEO1")
-	}
-	kind, secs, err := readContainer(br)
-	if err != nil {
-		return nil, err
-	}
-	dec, ok := kindRegistry[kind]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
-	}
-	idx, err := dec(secs)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
-	}
-	return idx, nil
-}
-
-// LoadFile opens path and Loads the index it contains.
-func LoadFile(path string) (DistanceIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-// Quarantined describes one member of a multi container that a degraded
-// load could not decode: its manifest identity (name, kind, bbox — the
-// manifest survived, only the member body is damaged) and the decode error.
-// The serving layer answers requests addressing a quarantined member with
-// 503 and reports the names through /readyz and /statsz.
+// Quarantined describes one member of a multi container that a tolerant
+// load (LoadOptions.Tolerant) could not decode: its manifest identity (name,
+// kind, bbox — the manifest survived, only the member body is damaged) and
+// the decode error. The serving layer answers requests addressing a
+// quarantined member with 503 and reports the names through /readyz and
+// /statsz.
 type Quarantined struct {
 	Name string
 	Kind Kind
@@ -368,81 +188,116 @@ type Quarantined struct {
 	Err  error
 }
 
-// LoadDegraded reads an index container like Load but, for a multi
-// container, degrades instead of failing when member bodies are corrupt:
-// members whose own inner container fails to decode (CRC mismatch, kind
-// confusion, malformed payload) are quarantined and the healthy rest are
-// served. The outer CRC footer is advisory in this mode — a mismatch is
-// expected when a member body holds flipped bits — but a mismatch that NO
-// quarantined member explains means the corruption sits in unverified
-// shared state (manifest, shared mesh), and the load fails rather than
-// serve silently wrong routing. Degradation granularity is the member
-// body: damage to the envelope framing, the manifest or the shared mesh is
-// fatal. Non-multi containers have no members to degrade to, so
-// LoadDegraded behaves exactly like Load for them.
-func LoadDegraded(r io.Reader) (DistanceIndex, []Quarantined, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
+// LoadOptions selects how Load and LoadBytesOpts treat a multi container;
+// for every other kind both options are ignored.
+type LoadOptions struct {
+	// Tolerant quarantines members whose bodies fail to decode (or, under
+	// MemBudget, whose envelopes fail to parse) instead of failing the load;
+	// the healthy rest are served. Damage to the envelope framing, the
+	// manifest, the hierarchy or the shared mesh stays fatal: without them
+	// there is no member identity to quarantine under.
+	Tolerant bool
+	// MemBudget, when positive, loads members lazily: each member stays a
+	// byte range of the image until first touched, and a resident-set LRU
+	// evicts decoded members once their summed heap bytes exceed the
+	// budget. The budget bounds decoded heap bytes; a mapped image itself
+	// is OS-reclaimable and is not charged against it.
+	MemBudget int64
+}
+
+// Load reads a whole container image from r and decodes it through
+// LoadBytesOpts, after one stream-only check: the envelope CRC footer must
+// match, unless opt.MemBudget > 0 (a budgeted load must not hash members it
+// never touches). Structural damage — magic, version, section count,
+// truncation — is reported ahead of a CRC mismatch. A tolerant load of a
+// multi container accepts a mismatch only when a quarantined member
+// explains it; otherwise the corruption sits in unverified shared state
+// (manifest, shared mesh, a flat member's content) and the load fails
+// rather than serve silently wrong routing.
+func Load(r io.Reader, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: reading index header: %w", err)
+		return nil, nil, fmt.Errorf("core: reading index: %w", err)
 	}
-	if isLegacyMagic(head) {
-		o, err := decodeLegacy(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: legacy (pre-container) oracle stream: %w", err)
-		}
-		return o, nil, nil
+	if opt.MemBudget > 0 {
+		return LoadBytesOpts(data, nil, opt)
 	}
-	if string(head) != containerMagic {
-		return nil, nil, fmt.Errorf("core: bad index magic %q: not an index container (and not a legacy %q oracle stream)", head, "SEO1")
-	}
-	kind, secs, crcErr, err := readContainerLenient(br)
+	kind, _, err := sliceContainer(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	if Kind(kind) != KindMulti {
-		if crcErr != nil {
-			return nil, nil, crcErr
-		}
-		dec, ok := kindRegistry[kind]
-		if !ok {
-			return nil, nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
-		}
-		idx, err := dec(secs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
-		}
-		return idx, nil, nil
+	crcErr := verifyImageCRC(data)
+	if crcErr != nil && !(opt.Tolerant && kind == KindMulti) {
+		return nil, nil, crcErr
 	}
-	idx, quarantined, err := decodeMulti(secs, true, nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: decoding multi container: %w", err)
-	}
-	if crcErr != nil && len(quarantined) == 0 {
+	idx, quarantined, err := LoadBytesOpts(data, nil, opt)
+	if err == nil && crcErr != nil && len(quarantined) == 0 {
 		return nil, nil, fmt.Errorf("core: %w (corruption outside any member body; refusing to serve)", crcErr)
+	}
+	return idx, quarantined, err
+}
+
+// LoadBytesOpts decodes an index from an in-memory container image —
+// typically a memory-mapped file — slicing instead of copying wherever the
+// kind allows. keep is an arbitrary value retained by any zero-copy index
+// that aliases data (a mapping owner carrying a finalizer, say), so the
+// backing memory outlives every index reading it; pass nil for plain heap
+// buffers.
+//
+// CRC policy, per kind: a flat container skips the whole-file CRC — paying
+// an O(n) checksum would re-linearize the O(1) cold start the layout exists
+// for; its header CRC plus structural validation (flat.go) stand in. Other
+// scalar kinds decode every byte anyway, so the footer is verified. A multi
+// container skips the outer footer and applies the same rule member-wise,
+// so flat members stay O(1).
+func LoadBytesOpts(data []byte, keep any, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
+	return decodeImage(data, keep, opt)
+}
+
+// decodeImage is the one container decoder: it slices the envelope of an
+// in-memory image, applies the per-kind CRC policy of LoadBytesOpts and
+// dispatches on the kind tag. Multi members come back through it (see
+// loadMember), so the same policy holds member-wise.
+func decodeImage(data []byte, keep any, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
+	kind, secs, err := sliceContainer(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if kind != KindFlat && kind != KindMulti {
+		if err := verifyImageCRC(data); err != nil {
+			return nil, nil, err
+		}
+	}
+	var idx DistanceIndex
+	var quarantined []Quarantined
+	switch kind {
+	case KindSE:
+		idx, err = decodeSEContainer(secs)
+	case KindA2A:
+		idx, err = decodeA2AContainer(secs)
+	case KindDynamic:
+		idx, err = decodeDynamicContainer(secs)
+	case KindFlat:
+		idx, err = decodeFlatSecs(secs, keep)
+	case KindMulti:
+		idx, quarantined, err = decodeMulti(secs, keep, opt)
+	default:
+		return nil, nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
 	}
 	return idx, quarantined, nil
 }
 
-// LoadDegradedFile opens path and LoadDegraded-s the index it contains.
-func LoadDegradedFile(path string) (DistanceIndex, []Quarantined, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return LoadDegraded(f)
-}
-
-// --- zero-copy byte-image loading --------------------------------------------
-
 // sliceContainer parses the envelope from an in-memory image without copying
 // payloads (the returned sections alias data) and without touching the CRC
-// footer — the caller decides, per kind, whether an O(n) checksum is worth
-// paying (see LoadBytes).
+// footer — the caller decides whether an O(n) checksum is worth paying. The
+// 12-byte header is checked before the footer is required, so a bad section
+// count is reported as such even on an image that ends after the header.
 func sliceContainer(data []byte) (Kind, map[uint32][]byte, error) {
-	if len(data) < 16 {
-		return 0, nil, fmt.Errorf("core: container image truncated (%d bytes)", len(data))
+	if len(data) < 12 {
+		return 0, nil, fmt.Errorf("core: container header truncated (%d bytes)", len(data))
 	}
 	if string(data[:4]) != containerMagic {
 		return 0, nil, fmt.Errorf("core: bad container magic %q", data[:4])
@@ -454,6 +309,9 @@ func sliceContainer(data []byte) (Kind, map[uint32][]byte, error) {
 	nsect := binary.LittleEndian.Uint32(data[8:])
 	if nsect > maxContainerSections {
 		return 0, nil, fmt.Errorf("core: container declares %d sections (max %d)", nsect, maxContainerSections)
+	}
+	if len(data) < 16 {
+		return 0, nil, fmt.Errorf("core: container image truncated (%d bytes)", len(data))
 	}
 	secs := make(map[uint32][]byte, nsect)
 	off := uint64(12)
@@ -487,110 +345,6 @@ func verifyImageCRC(data []byte) error {
 		return fmt.Errorf("core: container CRC mismatch (stored %#x, computed %#x): file truncated or corrupt", stored, computed)
 	}
 	return nil
-}
-
-// LoadBytes decodes an index from an in-memory container image — typically a
-// memory-mapped file — slicing instead of copying wherever the kind allows.
-// keep is an arbitrary value retained by any zero-copy index that aliases
-// data (a mapping owner carrying a finalizer, say), so the backing memory
-// outlives every index reading it; pass nil for plain heap buffers.
-//
-// CRC policy, per kind: a flat container skips the whole-file CRC — paying
-// an O(n) checksum would re-linearize the O(1) cold start the layout exists
-// for; its header CRC plus structural validation (flat.go) stand in. Other
-// scalar kinds decode every byte anyway, so the footer is verified as in
-// Load. A multi container skips the outer footer and applies the same rule
-// member-wise, so flat members stay O(1).
-func LoadBytes(data []byte, keep any) (DistanceIndex, error) {
-	idx, _, err := loadBytes(data, keep, false)
-	return idx, err
-}
-
-// LoadBytesDegraded is LoadBytes with LoadDegraded's multi-container
-// fault tolerance: corrupt member bodies are quarantined, the healthy rest
-// served. Since the byte path never checks the outer footer, there is no
-// "corruption outside any member body" distinction — shared-state damage
-// surfaces as a structural decode failure instead.
-func LoadBytesDegraded(data []byte, keep any) (DistanceIndex, []Quarantined, error) {
-	return loadBytes(data, keep, true)
-}
-
-// LoadOptions configures LoadBytesOpts beyond the plain strict/tolerant
-// split of LoadBytes and LoadBytesDegraded.
-type LoadOptions struct {
-	// Tolerant selects the LoadBytesDegraded behavior for multi containers:
-	// members whose bodies fail to decode (or, lazily, whose envelopes fail
-	// to parse) are quarantined instead of failing the load.
-	Tolerant bool
-	// MemBudget, when positive, loads multi-container members lazily: each
-	// member stays a byte range of the image until first touched, and a
-	// resident-set LRU evicts decoded members once their summed heap bytes
-	// exceed the budget. Zero (or a non-multi container) keeps the eager
-	// behavior. The budget bounds decoded heap bytes; the mapped image
-	// itself is OS-reclaimable and is not charged against it.
-	MemBudget int64
-}
-
-// LoadBytesOpts is LoadBytes with explicit options — the entry point for
-// budget-bounded lazy serving (seserve -mem-budget).
-func LoadBytesOpts(data []byte, keep any, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
-	return loadBytesCfg(data, multiLoadConfig{keep: keep, tolerant: opt.Tolerant, budget: opt.MemBudget, lazy: opt.MemBudget > 0})
-}
-
-func loadBytes(data []byte, keep any, tolerant bool) (DistanceIndex, []Quarantined, error) {
-	return loadBytesCfg(data, multiLoadConfig{keep: keep, tolerant: tolerant})
-}
-
-// multiLoadConfig threads the byte-image load mode into decodeMulti: the
-// quarantine policy, the retained mapping owner, and the lazy member table's
-// budget.
-type multiLoadConfig struct {
-	keep     any
-	tolerant bool
-	lazy     bool
-	budget   int64
-}
-
-func loadBytesCfg(data []byte, cfg multiLoadConfig) (DistanceIndex, []Quarantined, error) {
-	keep := cfg.keep
-	if len(data) >= 4 && isLegacyMagic(data[:4]) {
-		o, err := decodeLegacy(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: legacy (pre-container) oracle stream: %w", err)
-		}
-		return o, nil, nil
-	}
-	kind, secs, err := sliceContainer(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch kind {
-	case KindFlat:
-		f, err := decodeFlatSecs(secs, keep)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
-		}
-		return f, nil, nil
-	case KindMulti:
-		idx, quarantined, err := decodeMultiCfg(secs, cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decoding multi container: %w", err)
-		}
-		return idx, quarantined, nil
-	default:
-		if err := verifyImageCRC(data); err != nil {
-			return nil, nil, err
-		}
-		dec, ok := kindRegistry[kind]
-		if !ok {
-			return nil, nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
-		}
-		idx, err := dec(secs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
-		}
-		return idx, nil, nil
-	}
 }
 
 // MappedBytesOf reports how many bytes idx serves in place from a retained

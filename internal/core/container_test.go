@@ -19,10 +19,21 @@ func encodeIndex(t *testing.T, idx DistanceIndex) []byte {
 	return buf.Bytes()
 }
 
+// oracleOnlyContainer frames o's body as an se container holding only the
+// secOracle section: an index with neither a point table nor a mesh.
+func oracleOnlyContainer(t *testing.T, o *Oracle) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeContainer(&buf, KindSE, []section{o.bodySection()}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // loadIndex Loads a container, failing the test on error.
 func loadIndex(t *testing.T, data []byte) DistanceIndex {
 	t.Helper()
-	idx, err := Load(bytes.NewReader(data))
+	idx, _, err := Load(bytes.NewReader(data), LoadOptions{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -213,61 +224,6 @@ func TestContainerRoundTripDynamic(t *testing.T) {
 	}
 }
 
-// TestLegacyStreamStillLoads: PR-2-era bare oracle streams (Oracle.Encode)
-// keep loading through Load, LoadOracle-style Decode, and produce an
-// equivalent oracle — minus the point table, which legacy streams never
-// carried.
-func TestLegacyStreamStillLoads(t *testing.T) {
-	w := newTestWorld(t, 9, 12, 931)
-	o := w.build(t, Options{Epsilon: 0.2, Seed: 932})
-	var legacy bytes.Buffer
-	if err := o.Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := Load(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatalf("Load(legacy): %v", err)
-	}
-	o2, ok := idx.(*Oracle)
-	if !ok {
-		t.Fatalf("Load returned %T", idx)
-	}
-	for s := 0; s < len(w.pois); s += 3 {
-		a, _ := o.Query(int32(s), 0)
-		b, _ := o2.Query(int32(s), 0)
-		if a != b {
-			t.Fatalf("legacy parity (%d,0): %v vs %v", s, a, b)
-		}
-	}
-	if o2.Points() != nil {
-		t.Error("legacy stream should carry no point table")
-	}
-	if _, _, _, err := o2.Nearest(0, 0); err == nil {
-		t.Error("Nearest should fail without a point table")
-	}
-	// Decode (the deprecated shim) accepts both envelopes.
-	if _, err := Decode(bytes.NewReader(legacy.Bytes())); err != nil {
-		t.Errorf("Decode(legacy): %v", err)
-	}
-	if _, err := Decode(bytes.NewReader(encodeIndex(t, o))); err != nil {
-		t.Errorf("Decode(container): %v", err)
-	}
-}
-
-// TestDecodeRejectsWrongKind: Decode is the SE-typed loader; handing it an
-// a2a container must fail with a kind message, not a panic or a wrong type.
-func TestDecodeRejectsWrongKind(t *testing.T) {
-	w := newTestWorld(t, 9, 8, 941)
-	so, err := BuildSiteOracle(w.eng, w.mesh, SiteOptions{Options: Options{Epsilon: 0.3, Seed: 942}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Decode(bytes.NewReader(encodeIndex(t, so)))
-	if err == nil || !strings.Contains(err.Error(), "a2a") {
-		t.Fatalf("Decode(a2a container) = %v, want kind error", err)
-	}
-}
-
 // TestContainerRejectsCorruption: the envelope must reject truncation, bit
 // flips (CRC), kind confusion, unknown kinds and oversized headers with
 // errors — never a panic.
@@ -278,7 +234,7 @@ func TestContainerRejectsCorruption(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 3, 4, 8, 12, len(enc) / 2, len(enc) - 1} {
-			if _, err := Load(bytes.NewReader(enc[:n])); err == nil {
+			if _, _, err := Load(bytes.NewReader(enc[:n]), LoadOptions{}); err == nil {
 				t.Errorf("truncation at %d accepted", n)
 			}
 		}
@@ -287,7 +243,7 @@ func TestContainerRejectsCorruption(t *testing.T) {
 		for _, pos := range []int{8, 20, len(enc) / 2, len(enc) - 2} {
 			bad := append([]byte(nil), enc...)
 			bad[pos] ^= 0x40
-			if _, err := Load(bytes.NewReader(bad)); err == nil {
+			if _, _, err := Load(bytes.NewReader(bad), LoadOptions{}); err == nil {
 				t.Errorf("bit flip at %d accepted", pos)
 			}
 		}
@@ -299,7 +255,7 @@ func TestContainerRejectsCorruption(t *testing.T) {
 		if err := writeContainer(&buf, KindA2A, []section{o.bodySection()}); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(bytes.NewReader(buf.Bytes()))
+		_, _, err := Load(bytes.NewReader(buf.Bytes()), LoadOptions{})
 		if err == nil || !strings.Contains(err.Error(), "missing required section") {
 			t.Fatalf("kind confusion: %v", err)
 		}
@@ -309,7 +265,7 @@ func TestContainerRejectsCorruption(t *testing.T) {
 		if err := writeContainer(&buf, Kind(99), nil); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(bytes.NewReader(buf.Bytes()))
+		_, _, err := Load(bytes.NewReader(buf.Bytes()), LoadOptions{})
 		if err == nil || !strings.Contains(err.Error(), "unknown index kind") {
 			t.Fatalf("unknown kind: %v", err)
 		}
@@ -325,7 +281,7 @@ func TestContainerRejectsCorruption(t *testing.T) {
 		binary.Write(&buf, binary.LittleEndian, uint32(secOracle))
 		binary.Write(&buf, binary.LittleEndian, uint64(1)<<62)
 		buf.WriteString("short")
-		if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil {
+		if _, _, err := Load(bytes.NewReader(buf.Bytes()), LoadOptions{}); err == nil {
 			t.Error("oversized section header accepted")
 		}
 	})
@@ -334,7 +290,7 @@ func TestContainerRejectsCorruption(t *testing.T) {
 		buf.WriteString(containerMagic)
 		binary.Write(&buf, binary.LittleEndian, []uint16{containerVersion, uint16(KindSE)})
 		binary.Write(&buf, binary.LittleEndian, uint32(maxContainerSections+1))
-		_, err := Load(bytes.NewReader(buf.Bytes()))
+		_, _, err := Load(bytes.NewReader(buf.Bytes()), LoadOptions{})
 		if err == nil || !strings.Contains(err.Error(), "sections") {
 			t.Fatalf("section-count bomb: %v", err)
 		}

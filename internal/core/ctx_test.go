@@ -253,7 +253,7 @@ func TestSectionOffsetsRoundTrip(t *testing.T) {
 			t.Fatalf("member %d payload starts %q, want %q", i, got, containerMagic)
 		}
 	}
-	if _, err := Load(bytes.NewReader(blob)); err != nil {
+	if _, _, err := Load(bytes.NewReader(blob), LoadOptions{}); err != nil {
 		t.Fatalf("Load of the intact blob: %v", err)
 	}
 }

@@ -84,15 +84,15 @@ func TestLoadDegradedQuarantinesCorruptMember(t *testing.T) {
 
 	// The strict path must reject the file outright: the outer CRC no
 	// longer matches.
-	if _, err := Load(bytes.NewReader(corrupt)); err == nil {
+	if _, _, err := Load(bytes.NewReader(corrupt), LoadOptions{}); err == nil {
 		t.Fatal("strict Load accepted a corrupted multi container")
 	} else if !strings.Contains(err.Error(), "CRC mismatch") {
 		t.Fatalf("strict Load error %q does not name the CRC mismatch", err)
 	}
 
-	idx, quarantined, err := LoadDegraded(bytes.NewReader(corrupt))
+	idx, quarantined, err := Load(bytes.NewReader(corrupt), LoadOptions{Tolerant: true})
 	if err != nil {
-		t.Fatalf("LoadDegraded: %v", err)
+		t.Fatalf("tolerant Load: %v", err)
 	}
 	if len(quarantined) != 1 {
 		t.Fatalf("want exactly 1 quarantined member, got %d (%v)", len(quarantined), quarantined)
@@ -110,7 +110,7 @@ func TestLoadDegradedQuarantinesCorruptMember(t *testing.T) {
 	}
 	got, ok := idx.(*ShardedIndex)
 	if !ok {
-		t.Fatalf("LoadDegraded returned %T, want *ShardedIndex", idx)
+		t.Fatalf("tolerant Load returned %T, want *ShardedIndex", idx)
 	}
 	if got.NumMembers() != sh.NumMembers()-1 {
 		t.Fatalf("degraded index holds %d members, want %d", got.NumMembers(), sh.NumMembers()-1)
@@ -141,9 +141,9 @@ func TestLoadDegradedQuarantinesCorruptMember(t *testing.T) {
 
 func TestLoadDegradedIntactMatchesLoad(t *testing.T) {
 	sh, blob := encodeMultiBlob(t)
-	idx, quarantined, err := LoadDegraded(bytes.NewReader(blob))
+	idx, quarantined, err := Load(bytes.NewReader(blob), LoadOptions{Tolerant: true})
 	if err != nil {
-		t.Fatalf("LoadDegraded on an intact container: %v", err)
+		t.Fatalf("tolerant Load on an intact container: %v", err)
 	}
 	if len(quarantined) != 0 {
 		t.Fatalf("intact container quarantined %v", quarantined)
@@ -161,9 +161,9 @@ func TestLoadDegradedAllMembersCorrupt(t *testing.T) {
 	for i := 0; i < sh.NumMembers(); i++ {
 		corrupt = corruptSection(t, corrupt, offs, secMemberBase+uint32(i))
 	}
-	_, _, err := LoadDegraded(bytes.NewReader(corrupt))
+	_, _, err := Load(bytes.NewReader(corrupt), LoadOptions{Tolerant: true})
 	if err == nil {
-		t.Fatal("LoadDegraded served a container with every member corrupt")
+		t.Fatal("tolerant Load served a container with every member corrupt")
 	}
 	if !strings.Contains(err.Error(), "every member") {
 		t.Fatalf("error %q does not explain the total failure", err)
@@ -176,9 +176,9 @@ func TestLoadDegradedRefusesUnexplainedCorruption(t *testing.T) {
 	_, blob := encodeMultiBlob(t)
 	corrupt := append([]byte(nil), blob...)
 	corrupt[len(corrupt)-2] ^= 0xff
-	_, _, err := LoadDegraded(bytes.NewReader(corrupt))
+	_, _, err := Load(bytes.NewReader(corrupt), LoadOptions{Tolerant: true})
 	if err == nil {
-		t.Fatal("LoadDegraded served despite an unexplained outer CRC mismatch")
+		t.Fatal("tolerant Load served despite an unexplained outer CRC mismatch")
 	}
 	if !strings.Contains(err.Error(), "outside any member body") {
 		t.Fatalf("error %q does not name the unexplained corruption", err)
@@ -189,8 +189,8 @@ func TestLoadDegradedManifestCorruptionFatal(t *testing.T) {
 	_, blob := encodeMultiBlob(t)
 	offs := sectionOffsets(t, blob)
 	corrupt := corruptSection(t, blob, offs, secManifest)
-	if _, _, err := LoadDegraded(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("LoadDegraded served despite a corrupt manifest")
+	if _, _, err := Load(bytes.NewReader(corrupt), LoadOptions{Tolerant: true}); err == nil {
+		t.Fatal("tolerant Load served despite a corrupt manifest")
 	}
 }
 
@@ -204,21 +204,21 @@ func TestLoadDegradedNonMultiStaysStrict(t *testing.T) {
 	blob := buf.Bytes()
 
 	// Intact: identical to Load, no quarantine list.
-	idx, quarantined, err := LoadDegraded(bytes.NewReader(blob))
+	idx, quarantined, err := Load(bytes.NewReader(blob), LoadOptions{Tolerant: true})
 	if err != nil {
-		t.Fatalf("LoadDegraded on an intact SE container: %v", err)
+		t.Fatalf("tolerant Load on an intact SE container: %v", err)
 	}
 	if len(quarantined) != 0 {
 		t.Fatalf("SE container quarantined %v", quarantined)
 	}
 	if _, ok := idx.(*Oracle); !ok {
-		t.Fatalf("LoadDegraded returned %T, want *Oracle", idx)
+		t.Fatalf("tolerant Load returned %T, want *Oracle", idx)
 	}
 
 	// Corrupt: a single-index container has no members to degrade to.
 	corrupt := append([]byte(nil), blob...)
 	corrupt[len(corrupt)/2] ^= 0xff
-	if _, _, err := LoadDegraded(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("LoadDegraded accepted a corrupted single-index container")
+	if _, _, err := Load(bytes.NewReader(corrupt), LoadOptions{Tolerant: true}); err == nil {
+		t.Fatal("tolerant Load accepted a corrupted single-index container")
 	}
 }

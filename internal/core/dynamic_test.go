@@ -181,7 +181,7 @@ func TestDynamicNearestSkipsTombstones(t *testing.T) {
 	if err := d.EncodeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Load(&buf)
+	idx, _, err := Load(&buf, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -14,17 +13,11 @@ import (
 
 // Binary serialization of the SE oracle body. The body is versionless and
 // self-contained: the perfect hash is rebuilt deterministically from the
-// stored keys on load, so only the logical content is written. Two
-// envelopes carry it: the legacy bare stream (magic "SEO1" + version +
-// body) that PR-2-era files use, and the tagged container of container.go
-// (where the body is the secOracle section).
-const (
-	legacyMagic   = 0x53454f31 // "SEO1" (written little-endian)
-	legacyVersion = 1
-	hashSeed      = 0x5e0ac1e
-)
+// stored keys on load, so only the logical content is written. The tagged
+// container of container.go carries it as the secOracle section.
+const hashSeed = 0x5e0ac1e
 
-// decodeChunk bounds how many elements Decode materializes per read, so the
+// decodeChunk bounds how many elements a decoder materializes per read, so the
 // memory committed before a truncated stream hits EOF stays proportional to
 // the data actually present.
 const decodeChunk = 1 << 16
@@ -52,13 +45,6 @@ func decodeSlice[T any](r io.Reader, n int64) ([]T, error) {
 		out = append(out, buf...)
 	}
 	return out, nil
-}
-
-// isLegacyMagic reports whether the first four stream bytes are the
-// little-endian encoding of the legacy "SEO1" magic.
-func isLegacyMagic(head []byte) bool {
-	return len(head) >= 4 &&
-		binary.LittleEndian.Uint32(head) == legacyMagic
 }
 
 // encodeBody writes the oracle's logical content (everything but an
@@ -185,58 +171,6 @@ func decodeBody(br io.Reader) (*Oracle, error) {
 	// The path slab is derived state: recompute it rather than trusting (or
 	// paying for) a serialized copy.
 	o.buildPathSlab()
-	return o, nil
-}
-
-// Encode writes the oracle as the legacy bare stream.
-//
-// Deprecated: use EncodeTo, which writes the self-describing container
-// format that Load (and the serving layer) understand for every index
-// kind. Encode remains so existing tools can still produce streams that
-// old readers accept; Load reads both.
-func (o *Oracle) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := binary.Write(bw, binary.LittleEndian, []uint32{legacyMagic, legacyVersion}); err != nil {
-		return err
-	}
-	if err := o.encodeBody(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// decodeLegacy reads the legacy bare-oracle stream (magic + version + body).
-func decodeLegacy(br io.Reader) (*Oracle, error) {
-	var magic, version uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("core: decoding header: %w", err)
-	}
-	if magic != legacyMagic {
-		return nil, fmt.Errorf("core: bad magic %#x", magic)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("core: decoding header: %w", err)
-	}
-	if version != legacyVersion {
-		return nil, fmt.Errorf("core: unsupported version %d", version)
-	}
-	return decodeBody(br)
-}
-
-// Decode reads a serialized SE oracle: either a legacy bare stream or an
-// SE-kind container.
-//
-// Deprecated: use Load, which handles every index kind and returns the
-// concrete type behind the DistanceIndex interface.
-func Decode(r io.Reader) (*Oracle, error) {
-	idx, err := Load(r)
-	if err != nil {
-		return nil, err
-	}
-	o, ok := idx.(*Oracle)
-	if !ok {
-		return nil, fmt.Errorf("core: stream holds a %s index, not an SE oracle; use Load", idx.Stats().Kind)
-	}
 	return o, nil
 }
 

@@ -64,13 +64,13 @@ import (
 // validated lazily on first Nearest/NearestK/QueryPath use; Query never
 // touches them. rawLen in the directory is their inflated size.
 //
-// Integrity: the envelope CRC covers a flat container loaded through a
-// stream (Load), but the zero-copy byte path (LoadBytes) skips it — an O(n)
-// checksum would re-linearize the O(1) cold start. The header CRC plus the
-// structural validation above guarantee queries never fault on a mapped
-// read; bit flips inside slab content surface as query errors or wrong
-// distances, the documented trade for mmap-speed loading (run `sequery
-// -check` or a streaming Load to verify a suspect file end to end).
+// Integrity: Load checks the envelope CRC of a flat container, but the
+// zero-copy byte path (LoadBytesOpts) skips it — an O(n) checksum would
+// re-linearize the O(1) cold start. The header CRC plus the structural
+// validation above guarantee queries never fault on a mapped read; bit
+// flips inside slab content surface as query errors or wrong distances,
+// the documented trade for mmap-speed loading (load a suspect file through
+// Load — sequery, or seserve without -mmap — to verify it end to end).
 
 const (
 	flatBodyMagic = "SEF1"
@@ -177,7 +177,7 @@ func (o *Oracle) EncodeFlatTo(w io.Writer) error {
 // hoists it into a shared section.
 func flatBody(o *Oracle, mesh *terrain.Mesh) ([]byte, error) {
 	if len(o.pts) != o.npoi {
-		return nil, fmt.Errorf("core: oracle carries no point table (legacy stream?); the flat layout requires one")
+		return nil, fmt.Errorf("core: oracle carries no point table; the flat layout requires one")
 	}
 	nNodes := len(o.tree.nodes)
 	if nNodes < 1 || o.npoi < 1 || o.layerN < 1 || o.layerN > maxLayers {
@@ -430,12 +430,6 @@ type FlatOracle struct {
 	peng     geodesic.PathEngine
 	pengErr  error
 	segCache map[uint64]pathSeg
-}
-
-// decodeFlatContainer rebuilds a FlatOracle from a flat-kind section map —
-// the kind registry's entry point for stream loads.
-func decodeFlatContainer(secs map[uint32][]byte) (DistanceIndex, error) {
-	return decodeFlatSecs(secs, nil)
 }
 
 // decodeFlatSecs validates the flat body found in the section map; keep is

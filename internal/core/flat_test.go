@@ -205,12 +205,16 @@ func TestFlatEncodeLoadRoundTrip(t *testing.T) {
 	// Stream load (full envelope CRC) and byte load (structural only) agree.
 	for _, load := range []struct {
 		name string
-		idx  func() (DistanceIndex, error)
+		idx  func() (DistanceIndex, []Quarantined, error)
 	}{
-		{"Load", func() (DistanceIndex, error) { return Load(bytes.NewReader(direct.Bytes())) }},
-		{"LoadBytes", func() (DistanceIndex, error) { return LoadBytes(direct.Bytes(), nil) }},
+		{"Load", func() (DistanceIndex, []Quarantined, error) {
+			return Load(bytes.NewReader(direct.Bytes()), LoadOptions{})
+		}},
+		{"LoadBytesOpts", func() (DistanceIndex, []Quarantined, error) {
+			return LoadBytesOpts(direct.Bytes(), nil, LoadOptions{})
+		}},
 	} {
-		idx, err := load.idx()
+		idx, _, err := load.idx()
 		if err != nil {
 			t.Fatalf("%s: %v", load.name, err)
 		}
@@ -257,7 +261,7 @@ func TestFlatLoadBytesRejectsStructuralDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
-	if _, err := LoadBytes(blob, nil); err != nil {
+	if _, _, err := LoadBytesOpts(blob, nil, LoadOptions{}); err != nil {
 		t.Fatalf("pristine container rejected: %v", err)
 	}
 
@@ -315,7 +319,7 @@ func TestFlatLoadBytesRejectsStructuralDamage(t *testing.T) {
 		}, "exceeds"},
 	}
 	for _, tc := range cases {
-		if _, err := LoadBytes(tc.damage(), nil); err == nil {
+		if _, _, err := LoadBytesOpts(tc.damage(), nil, LoadOptions{}); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
@@ -336,9 +340,9 @@ func TestFlatCorruptSlabContentErrorsNotFaults(t *testing.T) {
 		off := binary.LittleEndian.Uint64(body[flatDirOff+flatDirEntryLen+8:]) // paths slab
 		binary.LittleEndian.PutUint32(body[off:], 0xFFFFFFF0)
 	})
-	idx, err := LoadBytes(blob, nil)
+	idx, _, err := LoadBytesOpts(blob, nil, LoadOptions{})
 	if err != nil {
-		t.Fatalf("LoadBytes: %v", err)
+		t.Fatalf("LoadBytesOpts: %v", err)
 	}
 	f := idx.(*FlatOracle)
 	n := int32(f.NumPOIs())
@@ -378,9 +382,9 @@ func TestFlatMultiConvertAndDegraded(t *testing.T) {
 	}
 	blob := buf.Bytes()
 
-	idx, err := LoadBytes(blob, nil)
+	idx, _, err := LoadBytesOpts(blob, nil, LoadOptions{})
 	if err != nil {
-		t.Fatalf("LoadBytes: %v", err)
+		t.Fatalf("LoadBytesOpts: %v", err)
 	}
 	lsh := idx.(*ShardedIndex)
 	if lsh.NumMembers() != sh.NumMembers() {
@@ -432,11 +436,11 @@ func TestFlatMultiConvertAndDegraded(t *testing.T) {
 		name string
 		run  func() (DistanceIndex, []Quarantined, error)
 	}{
-		{"LoadDegraded", func() (DistanceIndex, []Quarantined, error) {
-			return LoadDegraded(bytes.NewReader(corrupt))
+		{"Load/tolerant", func() (DistanceIndex, []Quarantined, error) {
+			return Load(bytes.NewReader(corrupt), LoadOptions{Tolerant: true})
 		}},
-		{"LoadBytesDegraded", func() (DistanceIndex, []Quarantined, error) {
-			return LoadBytesDegraded(corrupt, nil)
+		{"LoadBytesOpts/tolerant", func() (DistanceIndex, []Quarantined, error) {
+			return LoadBytesOpts(corrupt, nil, LoadOptions{Tolerant: true})
 		}},
 	} {
 		idx, quarantined, err := load.run()
@@ -449,8 +453,8 @@ func TestFlatMultiConvertAndDegraded(t *testing.T) {
 		if got := idx.(*ShardedIndex).NumMembers(); got != sh.NumMembers()-1 {
 			t.Fatalf("%s served %d members, want %d", load.name, got, sh.NumMembers()-1)
 		}
-		if _, err := LoadBytes(corrupt, nil); err == nil {
-			t.Fatalf("strict LoadBytes accepted the corrupt member")
+		if _, _, err := LoadBytesOpts(corrupt, nil, LoadOptions{}); err == nil {
+			t.Fatalf("strict LoadBytesOpts accepted the corrupt member")
 		}
 	}
 }

@@ -54,13 +54,15 @@ func TestOracleInvariantsAcrossSeeds(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds arbitrary bytes to the index deserializer: every
-// envelope (legacy bare stream and tagged container of every kind) must be
-// rejected or accepted without panicking or over-allocating — kind
-// confusion, truncated sections, bad CRCs and oversized section headers
-// are all errors — and any stream Load accepts must survive an
-// encode/load round trip (the serialization is canonical: logical content
-// in, deterministic bytes out).
+// FuzzDecode feeds arbitrary bytes to the index deserializer in every load
+// mode — Load and LoadBytesOpts, each strict, tolerant and budgeted with
+// every member faulted in: containers of every kind must be rejected or
+// accepted without panicking or over-allocating — kind confusion,
+// truncated sections, bad CRCs and oversized section headers are all
+// errors. Whatever Load accepts, LoadBytesOpts accepts too with equal
+// Stats (Load only adds the footer check), and any container a strict Load
+// accepts must survive an encode/load round trip (the serialization is
+// canonical: logical content in, deterministic bytes out).
 func FuzzDecode(f *testing.F) {
 	m, err := gen.Fractal(gen.FractalSpec{NX: 7, NY: 7, CellDX: 10, Amp: 12, Seed: 601})
 	if err != nil {
@@ -76,8 +78,9 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := o.Encode(&legacy); err != nil {
+	// An se container holding only the oracle body: no point table, no mesh.
+	var bare bytes.Buffer
+	if err := writeContainer(&bare, KindSE, []section{o.bodySection()}); err != nil {
 		f.Fatal(err)
 	}
 	var seCont bytes.Buffer
@@ -172,7 +175,7 @@ func FuzzDecode(f *testing.F) {
 		s := secs[secPortals]
 		binary.LittleEndian.PutUint32(s[8+8:], binary.LittleEndian.Uint32(s[8+8:])+1) // first link's IDA off by one
 	})
-	for _, seed := range [][]byte{legacy.Bytes(), seCont.Bytes(), a2aCont.Bytes(), dynCont.Bytes(),
+	for _, seed := range [][]byte{bare.Bytes(), seCont.Bytes(), a2aCont.Bytes(), dynCont.Bytes(),
 		multiCont.Bytes(), flatCont.Bytes(), flatMulti.Bytes(), flatFlip,
 		lodCont.Bytes(), selfParent, orphanChild, portalCountLie, portalIDFlip} {
 		f.Add(seed)
@@ -186,31 +189,30 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The zero-copy byte path skips whole-file CRCs (flat members
-		// self-validate structurally), so it sees more of the input space
-		// than Load; whatever it accepts must answer queries — including
-		// invalid ids — with errors, never faults.
-		if bidx, err := LoadBytes(append([]byte(nil), data...), nil); err == nil {
-			n := int32(bidx.Stats().Points)
-			for _, pair := range [][2]int32{{0, 0}, {0, n - 1}, {n - 1, 1}, {-1, 0}, {0, n}} {
-				_, _ = bidx.Query(pair[0], pair[1])
+		for _, opt := range []LoadOptions{{}, {Tolerant: true}, {MemBudget: 1}, {Tolerant: true, MemBudget: 1}} {
+			// The byte path skips whole-file CRCs (flat members
+			// self-validate structurally), so it sees more of the input
+			// space than Load; whatever it accepts must answer queries —
+			// including invalid ids — with errors, never faults.
+			bidx, bq, berr := LoadBytesOpts(append([]byte(nil), data...), nil, opt)
+			var bst IndexStats
+			if berr == nil {
+				bst = bidx.Stats()
+				exerciseLoaded(bidx)
 			}
-			if fo, ok := bidx.(*FlatOracle); ok && n >= 1 {
-				// Walk every slab family cheaply: queryPair (paths, disp,
-				// slots), centerSequence (leaf, nodes), Nearest (the lazy
-				// point slab). Geodesic path extraction is parity-tested
-				// elsewhere; here the point is that corrupt slab content
-				// errors instead of faulting.
-				if _, na, nb, err := fo.queryPair(0, n-1); err == nil {
-					_, _ = fo.centerSequence(0, n-1, na, nb)
-				}
-				if n <= 64 {
-					_ = fo.CheckInvariants()
-				}
-				_, _, _, _ = fo.Nearest(0, 0)
+			idx, q, err := Load(bytes.NewReader(data), opt)
+			if err != nil {
+				continue
 			}
+			if berr != nil {
+				t.Fatalf("%+v: Load accepted what LoadBytesOpts refused: %v", opt, berr)
+			}
+			if st := idx.Stats(); st != bst || len(q) != len(bq) {
+				t.Fatalf("%+v: Load and LoadBytesOpts disagree: %+v (%d quarantined) vs %+v (%d)", opt, st, len(q), bst, len(bq))
+			}
+			exerciseLoaded(idx)
 		}
-		idx, err := Load(bytes.NewReader(data))
+		idx, _, err := Load(bytes.NewReader(data), LoadOptions{})
 		if err != nil {
 			return
 		}
@@ -219,7 +221,7 @@ func FuzzDecode(f *testing.F) {
 		if err := idx.EncodeTo(&out); err != nil {
 			t.Fatalf("re-encoding a loaded %s index: %v", st.Kind, err)
 		}
-		idx2, err := Load(bytes.NewReader(out.Bytes()))
+		idx2, _, err := Load(bytes.NewReader(out.Bytes()), LoadOptions{})
 		if err != nil {
 			t.Fatalf("re-loading a re-encoded %s index: %v", st.Kind, err)
 		}
@@ -229,6 +231,40 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round trip changed shape: %+v -> %+v", st, st2)
 		}
 	})
+}
+
+// exerciseLoaded queries a fuzz-loaded index — valid and invalid ids — and
+// faults in every lazy member of a budgeted multi load; corrupt content must
+// surface as errors, never faults.
+func exerciseLoaded(idx DistanceIndex) {
+	n := int32(idx.Stats().Points)
+	for _, pair := range [][2]int32{{0, 0}, {0, n - 1}, {n - 1, 1}, {-1, 0}, {0, n}} {
+		_, _ = idx.Query(pair[0], pair[1])
+	}
+	switch x := idx.(type) {
+	case *FlatOracle:
+		if n < 1 {
+			return
+		}
+		// Walk every slab family cheaply: queryPair (paths, disp, slots),
+		// centerSequence (leaf, nodes), Nearest (the lazy point slab).
+		// Geodesic path extraction is parity-tested elsewhere.
+		if _, na, nb, err := x.queryPair(0, n-1); err == nil {
+			_, _ = x.centerSequence(0, n-1, na, nb)
+		}
+		if n <= 64 {
+			_ = x.CheckInvariants()
+		}
+		_, _, _, _ = x.Nearest(0, 0)
+	case *ShardedIndex:
+		for _, m := range x.Members() {
+			if lm, ok := m.Index.(*lazyMember); ok {
+				if mi, err := lm.get(); err == nil {
+					_, _ = mi.Query(0, 0)
+				}
+			}
+		}
+	}
 }
 
 // Appendix D: when n > N, the POI-independent site oracle answers P2P

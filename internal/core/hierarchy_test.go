@@ -320,7 +320,7 @@ func TestLODDeterministicEncode(t *testing.T) {
 	}
 }
 
-// Encode → LoadBytes (eager and lazy) must answer identically to the built
+// EncodeTo → LoadBytesOpts (eager and lazy) must answer identically to the built
 // index and re-encode byte-identically; a lazy re-encode must not fault
 // anything in.
 func TestLODRoundTrip(t *testing.T) {
@@ -332,9 +332,9 @@ func TestLODRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eager, err := LoadBytes(img.Bytes(), nil)
+	eager, _, err := LoadBytesOpts(img.Bytes(), nil, LoadOptions{})
 	if err != nil {
-		t.Fatalf("LoadBytes: %v", err)
+		t.Fatalf("LoadBytesOpts: %v", err)
 	}
 	lazyIdx, _, err := LoadBytesOpts(img.Bytes(), nil, LoadOptions{MemBudget: 1 << 30})
 	if err != nil {
@@ -593,9 +593,9 @@ func TestLODDegradedLoad(t *testing.T) {
 	victim := secs[secMemberBase+0]
 	victim[len(victim)/2] ^= 0xff
 
-	idx, quarantined, err := LoadBytesDegraded(data, nil)
+	idx, quarantined, err := LoadBytesOpts(data, nil, LoadOptions{Tolerant: true})
 	if err != nil {
-		t.Fatalf("LoadBytesDegraded: %v", err)
+		t.Fatalf("tolerant LoadBytesOpts: %v", err)
 	}
 	if len(quarantined) != 1 {
 		t.Fatalf("want 1 quarantined member, got %d", len(quarantined))
@@ -675,10 +675,10 @@ func TestHierarchyDecodeRejectsDamage(t *testing.T) {
 			t.Fatal(err)
 		}
 		mut(secs)
-		if _, err := LoadBytes(data, nil); err == nil {
+		if _, _, err := LoadBytesOpts(data, nil, LoadOptions{}); err == nil {
 			t.Errorf("%s: strict load accepted damaged hierarchy", name)
 		}
-		if _, q, err := LoadBytesDegraded(data, nil); err == nil || len(q) != 0 {
+		if _, q, err := LoadBytesOpts(data, nil, LoadOptions{Tolerant: true}); err == nil || len(q) != 0 {
 			t.Errorf("%s: tolerant load must fail outright (err=%v, %d quarantined)", name, err, len(q))
 		}
 		if _, _, err := LoadBytesOpts(data, nil, LoadOptions{MemBudget: 1 << 20}); err == nil {

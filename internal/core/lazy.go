@@ -9,7 +9,7 @@ import (
 	"seoracle/internal/terrain"
 )
 
-// lazy.go — the lazy member table of a budgeted multi load. When LoadBytes
+// lazy.go — the lazy member table of a budgeted multi load. When LoadBytesOpts
 // runs with a memory budget (LoadOptions.MemBudget > 0), member bodies are
 // not decoded at load time: each member becomes a lazyMember holding only
 // its byte range of the container image, and the body decodes on first
@@ -137,7 +137,7 @@ type lazyMember struct {
 	name    string
 	kind    Kind // manifest kind, enforced against the body at fault time
 	payload []byte
-	keep    any // retained by zero-copy (flat) bodies; see LoadBytes
+	keep    any // retained by zero-copy (flat) bodies; see LoadBytesOpts
 
 	// npois is the hierarchy's real-POI count (level-0 members), -1 when
 	// the container has no hierarchy section. expectPts additionally counts
@@ -186,7 +186,7 @@ func (lm *lazyMember) fault() (DistanceIndex, error) {
 	return idx, nil
 }
 
-// decode is the fault-time body of decodeMultiCfg's eager per-member
+// decode is the fault-time body of decodeMulti's eager per-member
 // validation: decode, kind check, nesting check, shared-mesh attach, and
 // the hierarchy's point-count check.
 func (lm *lazyMember) decode() (DistanceIndex, error) {

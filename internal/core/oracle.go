@@ -73,8 +73,8 @@ type Oracle struct {
 	layerN int     // h+1, the number of layers
 	paths  []int32 // flat path slab: POI p's A_s row at [p*layerN, (p+1)*layerN)
 	// pts is the indexed POI point table. Build always records it (it backs
-	// Nearest and is serialized as the container's point section); oracles
-	// loaded from legacy streams carry none.
+	// Nearest and is serialized as the container's point section); an se
+	// container without that section loads with none.
 	pts []terrain.SurfacePoint
 
 	// mesh is the terrain the oracle was built on, retained (and serialized
@@ -226,12 +226,12 @@ func (o *Oracle) Stats() IndexStats {
 }
 
 // Points returns the indexed POI point table, or nil when the oracle was
-// loaded from a legacy stream that carried none. The slice aliases
+// loaded from a container that carried none. The slice aliases
 // oracle-owned memory and must be treated as read-only.
 func (o *Oracle) Points() []terrain.SurfacePoint { return o.pts }
 
 // Nearest returns the indexed POI whose x-y projection is closest to
-// (x, y). It errors when the oracle carries no point table (legacy loads).
+// (x, y). It errors when the oracle carries no point table.
 func (o *Oracle) Nearest(x, y float64) (int32, terrain.SurfacePoint, float64, error) {
 	return nearestScan(o.pts, nil, x, y)
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 
 	"seoracle/internal/gen"
@@ -244,13 +246,9 @@ func TestTwoPOIs(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	w := newTestWorld(t, 11, 24, 14)
 	o := w.build(t, Options{Epsilon: 0.2, Seed: 21})
-	var buf bytes.Buffer
-	if err := o.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	o2, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+	o2, ok := loadIndex(t, encodeIndex(t, o)).(*Oracle)
+	if !ok {
+		t.Fatal("se container did not load as *Oracle")
 	}
 	if o2.Epsilon() != o.Epsilon() || o2.NumPOIs() != o.NumPOIs() ||
 		o2.Height() != o.Height() || o2.NumPairs() != o.NumPairs() {
@@ -271,33 +269,33 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not an oracle"))); err == nil {
+	if _, _, err := Load(bytes.NewReader([]byte("not an oracle")), LoadOptions{}); err == nil {
 		t.Error("garbage decoded")
 	}
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
+	if _, _, err := Load(bytes.NewReader(nil), LoadOptions{}); err == nil {
 		t.Error("empty decoded")
 	}
-	// Corrupt a valid stream's magic.
+	// Corrupt a valid container's magic.
 	w := newTestWorld(t, 9, 6, 15)
 	o := w.build(t, Options{Epsilon: 0.3, Seed: 1})
-	var buf bytes.Buffer
-	if err := o.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeIndex(t, o)
 	data[0] ^= 0xff
-	if _, err := Decode(bytes.NewReader(data)); err == nil {
+	if _, _, err := Load(bytes.NewReader(data), LoadOptions{}); err == nil {
 		t.Error("corrupt magic decoded")
 	}
 	data[0] ^= 0xff // restore
-	// Corrupt the header height (offset 24: magic+version+eps precede it):
-	// the O(npoi·height) path slab makes Decode itself pay for the height,
-	// so an implausible value must be rejected, not allocated.
+	// Corrupt the body's tree height (offset 40: the 12-byte envelope
+	// header, the 12-byte oracle section header, then eps and npoi precede
+	// it) and re-seal the footer CRC, so the body decoder sees the value:
+	// the O(npoi·height) path slab makes decoding itself pay for the
+	// height, so an implausible value must be rejected, not allocated.
 	for _, h := range []uint64{1 << 60, 1 << 33, ^uint64(0)} {
 		bad := append([]byte(nil), data...)
-		binary.LittleEndian.PutUint64(bad[24:], h)
-		if _, err := Decode(bytes.NewReader(bad)); err == nil {
-			t.Errorf("height %#x decoded", h)
+		binary.LittleEndian.PutUint64(bad[40:], h)
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))
+		_, _, err := Load(bytes.NewReader(bad), LoadOptions{})
+		if err == nil || !strings.Contains(err.Error(), "tree height") {
+			t.Errorf("height %#x: %v, want the tree-height bound", h, err)
 		}
 	}
 }

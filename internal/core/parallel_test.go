@@ -32,8 +32,8 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 				opt.Workers = workers
 				o := w.build(t, opt)
 				var buf bytes.Buffer
-				if err := o.Encode(&buf); err != nil {
-					t.Fatalf("workers=%d: Encode: %v", workers, err)
+				if err := o.EncodeTo(&buf); err != nil {
+					t.Fatalf("workers=%d: EncodeTo: %v", workers, err)
 				}
 				st := o.BuildStats()
 				if workers == 1 {
@@ -42,7 +42,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 					continue
 				}
 				if !bytes.Equal(want, buf.Bytes()) {
-					t.Errorf("workers=%d: Encode output differs from workers=1", workers)
+					t.Errorf("workers=%d: EncodeTo output differs from workers=1", workers)
 				}
 				if st.SSADCalls != wantStats.SSADCalls ||
 					st.Pairs != wantStats.Pairs ||
@@ -65,7 +65,7 @@ func TestGreedyBuildRepeatable(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		o := w.build(t, Options{Epsilon: 0.2, Seed: 33, Selection: SelectGreedy, Workers: 1})
 		var buf bytes.Buffer
-		if err := o.Encode(&buf); err != nil {
+		if err := o.EncodeTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {

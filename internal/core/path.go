@@ -32,8 +32,8 @@ type pathSeg struct {
 const pathSegCacheCap = 1 << 14
 
 // ErrNoPathGeometry is returned by QueryPath on indexes that carry no
-// terrain mesh (legacy streams, or constructions whose engine exposed no
-// mesh): distances still answer, but there is no geometry to stitch paths
+// terrain mesh (containers without a mesh section, or constructions whose
+// engine exposed no mesh): distances still answer, but there is no geometry to stitch paths
 // from.
 var ErrNoPathGeometry = fmt.Errorf("core: index carries no terrain mesh; path queries unavailable (rebuild to embed it)")
 
@@ -52,7 +52,7 @@ func (o *Oracle) pathEngine() (geodesic.PathEngine, error) {
 }
 
 // Mesh returns the terrain the oracle retains for path queries, or nil for
-// distance-only oracles (legacy streams, mesh-less engines).
+// distance-only oracles (containers without a mesh, mesh-less engines).
 func (o *Oracle) Mesh() *terrain.Mesh { return o.mesh }
 
 // QueryPath returns the ε-approximate highway path between POIs s and t:
@@ -65,7 +65,7 @@ func (o *Oracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) 
 		return nil, 0, err
 	}
 	if o.pts == nil {
-		return nil, 0, fmt.Errorf("core: oracle carries no point table (legacy stream?): %w", ErrNoPathGeometry)
+		return nil, 0, fmt.Errorf("core: oracle carries no point table: %w", ErrNoPathGeometry)
 	}
 	if s == t {
 		p := o.pts[s]

@@ -80,7 +80,7 @@ func roundTrip(t *testing.T, idx DistanceIndex) DistanceIndex {
 	if err := idx.EncodeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, _, err := Load(&buf, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +134,17 @@ func TestQueryPathSEOracle(t *testing.T) {
 	checkPath(t, w.mesh, path, d, w.pois[3], w.pois[3])
 }
 
-// A legacy (pre-container) stream carries neither points nor mesh; path
-// queries must fail loudly, not panic.
+// An se container holding only the oracle body carries neither points nor
+// mesh; path queries must fail loudly, not panic.
 func TestQueryPathLegacyStreamUnavailable(t *testing.T) {
 	w := newTestWorld(t, 9, 10, 411)
 	o := w.build(t, Options{Epsilon: 0.3, Seed: 413})
-	var buf bytes.Buffer
-	if err := o.Encode(&buf); err != nil {
-		t.Fatal(err)
+	bare, ok := loadIndex(t, oracleOnlyContainer(t, o)).(*Oracle)
+	if !ok {
+		t.Fatal("se container did not load as *Oracle")
 	}
-	legacy, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.QueryPath(0, 1); err == nil {
-		t.Fatal("legacy oracle answered a path query without geometry")
+	if _, _, err := bare.QueryPath(0, 1); err == nil {
+		t.Fatal("geometry-less oracle answered a path query")
 	}
 }
 

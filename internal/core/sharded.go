@@ -416,76 +416,38 @@ func (sh *ShardedIndex) EncodeTo(w io.Writer) error {
 	return writeContainer(w, KindMulti, secs)
 }
 
-// decodeMultiContainer rebuilds a *ShardedIndex from a multi-kind section
-// map. The manifest is the source of truth: a member count that disagrees
-// with the member sections actually present (either direction), a manifest
-// kind that disagrees with a member's body, duplicate or malformed names,
-// and invalid bboxes are all corruption, not slack.
-func decodeMultiContainer(secs map[uint32][]byte) (DistanceIndex, error) {
-	idx, _, err := decodeMulti(secs, false, nil)
+// loadMember decodes one member body from its in-place section bytes
+// through the same decoder as a whole image, so the per-kind CRC policy
+// holds member-wise: flat members are sliced zero-copy with keep threaded
+// through, every other kind is verified against its own footer.
+func loadMember(payload []byte, keep any) (DistanceIndex, error) {
+	idx, _, err := decodeImage(payload, keep, LoadOptions{})
 	return idx, err
 }
 
-// loadMember decodes one member body from its in-place section bytes. Flat
-// members are sliced zero-copy with keep threaded through (their structural
-// validation stands in for a checksum — see LoadBytes); every other kind is
-// CRC-verified against its own footer before decoding, exactly as a stream
-// Load of the body would. The legacy bare-oracle stream keeps loading
-// through the stream path.
-func loadMember(payload []byte, keep any) (DistanceIndex, error) {
-	if len(payload) >= 4 && isLegacyMagic(payload[:4]) {
-		return Load(bytes.NewReader(payload))
-	}
-	kind, secs, err := sliceContainer(payload)
-	if err != nil {
-		return nil, err
-	}
-	if kind == KindFlat {
-		f, err := decodeFlatSecs(secs, keep)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
-		}
-		return f, nil
-	}
-	if err := verifyImageCRC(payload); err != nil {
-		return nil, err
-	}
-	dec, ok := kindRegistry[kind]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
-	}
-	idx, err := dec(secs)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
-	}
-	return idx, nil
-}
-
-// decodeMulti is the keep/tolerant-only entry into decodeMultiCfg, kept for
-// the call sites that never load lazily (stream decode, LoadDegraded).
-func decodeMulti(secs map[uint32][]byte, tolerant bool, keep any) (DistanceIndex, []Quarantined, error) {
-	return decodeMultiCfg(secs, multiLoadConfig{keep: keep, tolerant: tolerant})
-}
-
-// decodeMultiCfg is decodeMultiContainer with an optional tolerant mode
-// (the LoadDegraded path) and an optional lazy mode (LoadOptions.MemBudget
-// — see lazy.go). In tolerant mode, member-level failures — a missing or
-// undecodable member body, a manifest/body kind mismatch, a member that
-// fails shared-mesh validation — quarantine the member instead of failing
-// the load, and the healthy rest are assembled. Manifest, hierarchy and
-// shared-mesh damage stays fatal in both modes: without a trustworthy
-// manifest there is no member identity to quarantine under. Tolerant loads
-// fail only when every member is damaged. cfg.keep is retained by zero-copy
-// (flat) members whose slabs alias the section bytes (see LoadBytes).
+// decodeMulti rebuilds a *ShardedIndex from a multi-kind section map. The
+// manifest is the source of truth: a member count that disagrees with the
+// member sections actually present (either direction), a manifest kind that
+// disagrees with a member's body, duplicate or malformed names, and invalid
+// bboxes are all corruption, not slack.
 //
-// Lazy mode defers each member's body decode — and therefore its kind,
-// shared-mesh and point-count validation — to the first query that touches
-// it (a deliberate relaxation, like LoadDegraded's: cold start must not pay
-// for tiles the traffic never visits). A body that fails at fault time
+// In tolerant mode, member-level failures — a missing or undecodable member
+// body, a manifest/body kind mismatch, a member that fails shared-mesh
+// validation — quarantine the member instead of failing the load, and the
+// healthy rest are assembled. Manifest, hierarchy and shared-mesh damage
+// stays fatal in both modes: without a trustworthy manifest there is no
+// member identity to quarantine under. Tolerant loads fail only when every
+// member is damaged. keep is retained by zero-copy (flat) members whose
+// slabs alias the section bytes (see LoadBytesOpts).
+//
+// Lazy mode (opt.MemBudget > 0, see lazy.go) defers each member's body decode
+// — and therefore its kind, shared-mesh and point-count validation — to the
+// first query that touches it (a deliberate relaxation: cold start must not
+// pay for tiles the traffic never visits). A body that fails at fault time
 // serves ErrMemberFault thereafter; only a missing member section is still
 // a load-time failure.
-func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex, []Quarantined, error) {
-	keep, tolerant := cfg.keep, cfg.tolerant
+func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
+	tolerant, lazy := opt.Tolerant, opt.MemBudget > 0
 	if err := requireSections(secs, secManifest); err != nil {
 		return nil, nil, err
 	}
@@ -572,7 +534,7 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 	// works without storing one mesh copy per tile. Lazy loads keep the raw
 	// section and decode it on the first member fault instead.
 	var shared *terrain.Mesh
-	if payload, ok := secs[secMesh]; ok && !cfg.lazy {
+	if payload, ok := secs[secMesh]; ok && !lazy {
 		m, err := decodeMesh(payload)
 		if err != nil {
 			return nil, nil, fmt.Errorf("shared mesh section: %w", err)
@@ -580,8 +542,8 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 		shared = m
 	}
 	var rs *residentSet
-	if cfg.lazy {
-		rs = &residentSet{budget: cfg.budget, rawMesh: secs[secMesh]}
+	if lazy {
+		rs = &residentSet{budget: opt.MemBudget, rawMesh: secs[secMesh]}
 	}
 	var quarantined []Quarantined
 	members := make([]ShardMember, 0, count)
@@ -605,7 +567,7 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 		if hier != nil && hier.levels[i] == 0 {
 			npois, expectPts = hier.npois[i], hier.expectPts[i]
 		}
-		if cfg.lazy {
+		if lazy {
 			lm := &lazyMember{
 				rs: rs, ordinal: int32(i), name: e.name, kind: e.kind,
 				payload: payload, keep: keep, npois: npois, expectPts: expectPts,

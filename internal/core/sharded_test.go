@@ -337,7 +337,7 @@ func TestMultiContainerRejectsCorruption(t *testing.T) {
 		if err := writeContainer(&buf, KindMulti, secs); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(bytes.NewReader(buf.Bytes()))
+		_, _, err := Load(bytes.NewReader(buf.Bytes()), LoadOptions{})
 		return err
 	}
 
@@ -541,7 +541,7 @@ func TestLocateHalfOpenBoundary(t *testing.T) {
 		if err := sh.EncodeTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loadedIdx, err := Load(&buf)
+		loadedIdx, _, err := Load(&buf, LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -240,7 +240,7 @@ func TestNearestKTiesDeterministicAcrossEncodeLoad(t *testing.T) {
 	if err := o.EncodeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Load(&buf)
+	idx, _, err := Load(&buf, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

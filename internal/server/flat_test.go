@@ -40,7 +40,7 @@ func TestServeFlatFromMmap(t *testing.T) {
 	path, _ := writeFlatFile(t, o)
 
 	for _, useMmap := range []bool{false, true} {
-		idx, err := LoadIndexFile(path, useMmap)
+		idx, _, err := LoadIndexOpts(path, useMmap, core.LoadOptions{})
 		if err != nil {
 			t.Fatalf("mmap=%v: %v", useMmap, err)
 		}
@@ -127,7 +127,7 @@ func TestStatszMemorySplitPerMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	path, _ := writeFlatFile(t, sh)
-	idx, err := LoadIndexFile(path, true)
+	idx, _, err := LoadIndexOpts(path, true, core.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"runtime"
@@ -10,7 +9,7 @@ import (
 )
 
 // mapping owns one live memory mapping. Flat indexes decoded from it alias
-// its bytes (core.LoadBytes slices instead of copying), so the munmap must
+// its bytes (core.LoadBytesOpts slices instead of copying), so the munmap must
 // wait until no index reads it: every zero-copy index retains the *mapping
 // through core's keep plumbing, and the finalizer fires after the last one
 // is collected. Mapped memory is invisible to the Go heap, so a finalizer
@@ -45,22 +44,16 @@ func (m *mapping) finishLoad(idx core.DistanceIndex, derr error) error {
 	return derr
 }
 
-// LoadIndexOpts loads an index container from disk under explicit load
-// options — the single implementation behind LoadIndexFile and
-// LoadDegradedFile. When useMmap is set on a platform that supports it, the
-// file is memory-mapped and decoded in place via core.LoadBytesOpts: decoded
-// kinds copy their payloads to the heap and the mapping is released before
-// returning, while flat members and lazily loaded members read the mapping
-// in place, keeping it alive, finalizer-backed, for as long as the index
-// does. Hot reload and the endpoint LRU need no special handling: an old
-// index dropped from serving keeps its mapping until the GC proves nothing
-// queries it.
-//
-// A positive opt.MemBudget needs the whole container image addressable
-// (lazy members are byte ranges of it), which a stream cannot provide:
-// without mmap the file is read into one heap image instead of streamed.
-// The untouched members stay encoded bytes either way; only the decoded
-// resident set is budgeted.
+// LoadIndexOpts loads an index container from disk: the one file helper
+// every tool shares. When useMmap is set on a platform that supports it,
+// the file is memory-mapped and decoded in place via core.LoadBytesOpts:
+// decoded kinds copy their payloads to the heap and the mapping is released
+// before returning, while flat members and lazily loaded members read the
+// mapping in place, keeping it alive, finalizer-backed, for as long as the
+// index does. Hot reload and the endpoint LRU need no special handling: an
+// old index dropped from serving keeps its mapping until the GC proves
+// nothing queries it. Otherwise the file is read through core.Load, which
+// adds the envelope CRC check (see core.Load for when it applies).
 func LoadIndexOpts(path string, useMmap bool, opt core.LoadOptions) (core.DistanceIndex, []core.Quarantined, error) {
 	if useMmap {
 		data, closer, err := mmapFile(path)
@@ -75,39 +68,12 @@ func LoadIndexOpts(path string, useMmap bool, opt core.LoadOptions) (core.Distan
 		if err != errMmapUnsupported {
 			return nil, nil, fmt.Errorf("server: mmap %s: %w", path, err)
 		}
-		// Fall through to the unmapped paths on platforms without mmap.
-	}
-	if opt.MemBudget > 0 {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.LoadBytesOpts(data, nil, opt)
+		// Fall through to reading the file on platforms without mmap.
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	if opt.Tolerant {
-		return core.LoadDegraded(bufio.NewReaderSize(f, 1<<20))
-	}
-	idx, err := core.Load(bufio.NewReaderSize(f, 1<<20))
-	return idx, nil, err
-}
-
-// LoadIndexFile loads any index container from disk, either by streaming
-// through a buffered reader or — when useMmap is set — by memory-mapping
-// the file (see LoadIndexOpts for the mapping's lifetime).
-func LoadIndexFile(path string, useMmap bool) (core.DistanceIndex, error) {
-	idx, _, err := LoadIndexOpts(path, useMmap, core.LoadOptions{})
-	return idx, err
-}
-
-// LoadDegradedFile is LoadIndexFile's fault-tolerant form: a multi
-// container with corrupt member bodies loads with those members
-// quarantined instead of failing outright (core.LoadDegraded), through
-// the same mmap-or-stream plumbing, flat members staying zero-copy.
-func LoadDegradedFile(path string, useMmap bool) (core.DistanceIndex, []core.Quarantined, error) {
-	return LoadIndexOpts(path, useMmap, core.LoadOptions{Tolerant: true})
+	return core.Load(f, opt)
 }

@@ -6,8 +6,8 @@ import "errors"
 
 var errMmapUnsupported = errors.New("mmap unsupported")
 
-// mmapFile reports mmap as unavailable on this platform; LoadIndexFile
-// falls back to the streaming path.
+// mmapFile reports mmap as unavailable on this platform; LoadIndexOpts
+// falls back to reading the file through core.Load.
 func mmapFile(string) ([]byte, func() error, error) {
 	return nil, nil, errMmapUnsupported
 }

@@ -155,7 +155,7 @@ func TestMultiServedFromContainerFile(t *testing.T) {
 	path := t.TempDir() + "/multi.sedx"
 	writeIndexFile(t, path, sh)
 	for _, useMmap := range []bool{false, true} {
-		idx, err := LoadIndexFile(path, useMmap)
+		idx, _, err := LoadIndexOpts(path, useMmap, core.LoadOptions{})
 		if err != nil {
 			t.Fatalf("mmap=%v: %v", useMmap, err)
 		}
@@ -425,7 +425,7 @@ func TestNearestSkipsTombstonesOverHTTP(t *testing.T) {
 	}
 	path := t.TempDir() + "/dyn.sedx"
 	writeIndexFile(t, path, d)
-	idx, err := LoadIndexFile(path, false)
+	idx, _, err := LoadIndexOpts(path, false, core.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -115,19 +117,15 @@ func TestPathCoordinatesA2A(t *testing.T) {
 	}
 }
 
-// TestPathNoGeometryIs501: an index that cannot report paths at all (a
-// legacy stream without mesh or point sections) answers 501, not 500.
+// TestPathNoGeometryIs501: an index that cannot report paths at all (an se
+// container holding only the oracle body: no mesh, no point section)
+// answers 501, not 500.
 func TestPathNoGeometryIs501(t *testing.T) {
-	o := seOracle(t)
-	var buf bytes.Buffer
-	if err := o.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := core.Load(&buf)
+	bare, _, err := core.Load(bytes.NewReader(oracleOnlyContainer(t, seOracle(t))), core.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(legacy).Handler())
+	ts := httptest.NewServer(New(bare).Handler())
 	defer ts.Close()
 	var er errorResponse
 	if code := get(t, ts, "/v1/path?s=0&t=1", &er); code != 501 && code != 400 {
@@ -239,4 +237,24 @@ func TestCoordRejectionsCounted(t *testing.T) {
 	if code := get(t, ts, "/statsz", &st); code != 200 || st.CoordRejections != int64(len(bad)) {
 		t.Fatalf("garbage parse counted as coordinate rejection: %d", st.CoordRejections)
 	}
+}
+
+// oracleOnlyContainer re-frames o's se container keeping only its first
+// section, the oracle body (id 1), and re-seals the CRC footer. Layout: a
+// 12-byte envelope header (magic, version, kind, section count), then
+// { id uint32, length uint64, payload } per section, then the CRC32.
+func oracleOnlyContainer(t *testing.T, o *core.Oracle) []byte {
+	t.Helper()
+	var full bytes.Buffer
+	if err := o.EncodeTo(&full); err != nil {
+		t.Fatal(err)
+	}
+	data := full.Bytes()
+	if id := binary.LittleEndian.Uint32(data[12:]); id != 1 {
+		t.Fatalf("first se section is %d, want the oracle body", id)
+	}
+	end := 24 + binary.LittleEndian.Uint64(data[16:])
+	out := binary.LittleEndian.AppendUint32(append([]byte(nil), data[:8]...), 1)
+	out = append(out, data[12:end]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }

@@ -289,7 +289,7 @@ func TestStatszCountsRequests(t *testing.T) {
 	}
 }
 
-// TestLoadIndexFile: both loading paths (stream and mmap) restore a served
+// TestLoadIndexFile: both loading paths (read and mmap) restore a served
 // index from a container file; the a2a kind answers coordinate queries with
 // no SSAD at load time.
 func TestLoadIndexFile(t *testing.T) {
@@ -309,7 +309,7 @@ func TestLoadIndexFile(t *testing.T) {
 	f.Close()
 
 	for _, useMmap := range []bool{false, true} {
-		idx, err := LoadIndexFile(path, useMmap)
+		idx, _, err := LoadIndexOpts(path, useMmap, core.LoadOptions{})
 		if err != nil {
 			t.Fatalf("mmap=%v: %v", useMmap, err)
 		}
@@ -328,7 +328,7 @@ func TestLoadIndexFile(t *testing.T) {
 			t.Fatalf("mmap=%v: %g/%v want %g", useMmap, got, err, want)
 		}
 	}
-	if _, err := LoadIndexFile(filepath.Join(t.TempDir(), "absent"), false); err == nil {
+	if _, _, err := LoadIndexOpts(filepath.Join(t.TempDir(), "absent"), false, core.LoadOptions{}); err == nil {
 		t.Error("loading a missing file succeeded")
 	}
 }

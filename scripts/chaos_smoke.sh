@@ -8,7 +8,9 @@
 #      quarantine exactly that member and keep serving the healthy one
 #   3. assert the degraded server's contract: healthy member 200,
 #      quarantined member 503, /healthz 200 + degraded flag, /readyz 503
-#      (1 healthy of 2 is below quorum), /statsz carries the ops block
+#      (1 healthy of 2 is below quorum), /statsz carries the ops block.
+#      Steps 2 and 3 run twice: reading the file (core.Load) and mapping
+#      it (-mmap, core.LoadBytesOpts), the two callers of the one decoder
 #   4. fire loadgen at a chaos-injected server (-chaos-latency,
 #      -chaos-error-rate) and assert on its JSON: injected 503s and added
 #      latency are visible, nothing else breaks
@@ -69,45 +71,50 @@ ORIG="$(od -An -tu1 "$TMP/byte" | tr -d ' ')"
 printf "$(printf '\\%03o' $((ORIG ^ 255)))" \
     | dd of="$TMP/multi.sedx" bs=1 seek="$OFF" count=1 conv=notrunc 2>/dev/null
 
-say "strict load must refuse the corrupt container"
-if "$TMP/seserve" -index "$TMP/multi.sedx" -addr "127.0.0.1:$PORT" >"$TMP/strict.log" 2>&1; then
-    say "strict seserve served a corrupt container"; exit 1
-fi
-grep -qi 'crc' "$TMP/strict.log" || { say "strict failure does not mention the CRC: $(cat "$TMP/strict.log")"; exit 1; }
+for MODE in read mmap; do
+    MMAP=""
+    if [ "$MODE" = mmap ]; then MMAP="-mmap"; fi
 
-# --- degraded serving -------------------------------------------------------
-say "degraded load must quarantine the broken member and serve the rest"
-"$TMP/seserve" -index "$TMP/multi.sedx" -addr "127.0.0.1:$PORT" -degraded >"$TMP/serve.log" 2>&1 &
-SERVER_PID=$!
-wait_status /healthz 200
+    say "[$MODE] strict load must refuse the corrupt container"
+    if "$TMP/seserve" -index "$TMP/multi.sedx" -addr "127.0.0.1:$PORT" $MMAP >"$TMP/strict.log" 2>&1; then
+        say "[$MODE] strict seserve served a corrupt container"; exit 1
+    fi
+    grep -qi 'crc' "$TMP/strict.log" || { say "[$MODE] strict failure does not mention the CRC: $(cat "$TMP/strict.log")"; exit 1; }
 
-QUAR="$(sed -n 's/.*DEGRADED: member "\([^"]*\)".*/\1/p' "$TMP/serve.log" | head -1)"
-[ -n "$QUAR" ] || { say "server log names no quarantined member: $(cat "$TMP/serve.log")"; exit 1; }
-if [ "$QUAR" = "tile-0-0" ]; then HEALTHY="tile-1-0"; else HEALTHY="tile-0-0"; fi
-say "quarantined member: $QUAR (healthy: $HEALTHY)"
+    # --- degraded serving ---------------------------------------------------
+    say "[$MODE] degraded load must quarantine the broken member and serve the rest"
+    "$TMP/seserve" -index "$TMP/multi.sedx" -addr "127.0.0.1:$PORT" -degraded $MMAP >"$TMP/serve.log" 2>&1 &
+    SERVER_PID=$!
+    wait_status /healthz 200
 
-[ "$(code "http://127.0.0.1:$PORT/v1/query?index=$HEALTHY&s=0&t=1")" = "200" ] \
-    || { say "healthy member does not serve"; exit 1; }
-[ "$(code "http://127.0.0.1:$PORT/v1/query?index=$QUAR&s=0&t=1")" = "503" ] \
-    || { say "quarantined member did not answer 503"; exit 1; }
-[ "$(code "http://127.0.0.1:$PORT/v1/query?index=no-such-tile&s=0&t=1")" = "404" ] \
-    || { say "unknown member did not stay 404 while degraded"; exit 1; }
+    QUAR="$(sed -n 's/.*DEGRADED: member "\([^"]*\)".*/\1/p' "$TMP/serve.log" | head -1)"
+    [ -n "$QUAR" ] || { say "[$MODE] server log names no quarantined member: $(cat "$TMP/serve.log")"; exit 1; }
+    if [ "$QUAR" = "tile-0-0" ]; then HEALTHY="tile-1-0"; else HEALTHY="tile-0-0"; fi
+    say "[$MODE] quarantined member: $QUAR (healthy: $HEALTHY)"
 
-# 1 healthy of 2 is below quorum: alive (healthz 200) but not ready.
-curl -fsS "http://127.0.0.1:$PORT/healthz" >"$TMP/health.json"
-grep -q '"degraded":true' "$TMP/health.json" || { say "healthz does not flag degradation: $(cat "$TMP/health.json")"; exit 1; }
-[ "$(code "http://127.0.0.1:$PORT/readyz")" = "503" ] || { say "readyz below quorum is not 503"; exit 1; }
-curl -s "http://127.0.0.1:$PORT/readyz" >"$TMP/ready.json"
-grep -q "\"$QUAR\"" "$TMP/ready.json" || { say "readyz does not name the quarantined member: $(cat "$TMP/ready.json")"; exit 1; }
+    [ "$(code "http://127.0.0.1:$PORT/v1/query?index=$HEALTHY&s=0&t=1")" = "200" ] \
+        || { say "[$MODE] healthy member does not serve"; exit 1; }
+    [ "$(code "http://127.0.0.1:$PORT/v1/query?index=$QUAR&s=0&t=1")" = "503" ] \
+        || { say "[$MODE] quarantined member did not answer 503"; exit 1; }
+    [ "$(code "http://127.0.0.1:$PORT/v1/query?index=no-such-tile&s=0&t=1")" = "404" ] \
+        || { say "[$MODE] unknown member did not stay 404 while degraded"; exit 1; }
 
-# The ops block is the overload/degradation dashboard.
-curl -fsS "http://127.0.0.1:$PORT/statsz" >"$TMP/stats.json"
-for key in '"ops"' '"in_flight"' '"shed"' '"panics"' '"deadline_exceeded"' '"quarantined"'; do
-    grep -q "$key" "$TMP/stats.json" || { say "statsz lacks $key: see /statsz"; exit 1; }
+    # 1 healthy of 2 is below quorum: alive (healthz 200) but not ready.
+    curl -fsS "http://127.0.0.1:$PORT/healthz" >"$TMP/health.json"
+    grep -q '"degraded":true' "$TMP/health.json" || { say "[$MODE] healthz does not flag degradation: $(cat "$TMP/health.json")"; exit 1; }
+    [ "$(code "http://127.0.0.1:$PORT/readyz")" = "503" ] || { say "[$MODE] readyz below quorum is not 503"; exit 1; }
+    curl -s "http://127.0.0.1:$PORT/readyz" >"$TMP/ready.json"
+    grep -q "\"$QUAR\"" "$TMP/ready.json" || { say "[$MODE] readyz does not name the quarantined member: $(cat "$TMP/ready.json")"; exit 1; }
+
+    # The ops block is the overload/degradation dashboard.
+    curl -fsS "http://127.0.0.1:$PORT/statsz" >"$TMP/stats.json"
+    for key in '"ops"' '"in_flight"' '"shed"' '"panics"' '"deadline_exceeded"' '"quarantined"'; do
+        grep -q "$key" "$TMP/stats.json" || { say "[$MODE] statsz lacks $key: see /statsz"; exit 1; }
+    done
+
+    kill "$SERVER_PID" && wait "$SERVER_PID" 2>/dev/null || true
+    SERVER_PID=""
 done
-
-kill "$SERVER_PID" && wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
 
 # --- chaos injection under load ---------------------------------------------
 # Every 4th request fails with an injected 503 and every data request gains
@@ -156,4 +163,4 @@ grep -q '"generation":1' "$TMP/ready2.json" || { say "reload did not advance the
 [ "$(code "http://127.0.0.1:$PORT/v1/query?index=$QUAR&s=0&t=1")" = "200" ] \
     || { say "formerly quarantined member still unserved after reload"; exit 1; }
 
-say "OK (strict refusal, degraded quarantine + quorum, chaos visible to loadgen, SIGHUP recovery)"
+say "OK (strict refusal and degraded quarantine + quorum, read and mmap; chaos visible to loadgen, SIGHUP recovery)"

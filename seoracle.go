@@ -43,6 +43,7 @@ package seoracle
 
 import (
 	"io"
+	"os"
 
 	"seoracle/internal/core"
 	"seoracle/internal/gen"
@@ -294,19 +295,21 @@ func WriteSharded(w io.Writer, t *Terrain, pois []SurfacePoint, shards int, opt 
 // Load reads any serialized index container (written with EncodeTo) and
 // returns the concrete engine behind the DistanceIndex interface — an
 // *Oracle, *A2AOracle or *DynamicOracle according to the container's kind
-// tag. It also accepts the legacy bare-oracle streams Oracle.Encode wrote
-// before the container format existed.
-func Load(r io.Reader) (DistanceIndex, error) { return core.Load(r) }
+// tag. The container's CRC footer must match.
+func Load(r io.Reader) (DistanceIndex, error) {
+	idx, _, err := core.Load(r, core.LoadOptions{})
+	return idx, err
+}
 
 // LoadFile opens path and Loads the index it contains.
-func LoadFile(path string) (DistanceIndex, error) { return core.LoadFile(path) }
-
-// LoadOracle reads a serialized SE oracle (legacy stream or SE-kind
-// container).
-//
-// Deprecated: use Load, which handles every index kind and returns the
-// right concrete type.
-func LoadOracle(r io.Reader) (*Oracle, error) { return core.Decode(r) }
+func LoadFile(path string) (DistanceIndex, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Load(f)
+}
 
 // ExactDistance computes the exact geodesic distance between two surface
 // points with the window-propagation SSAD engine. For repeated queries,
