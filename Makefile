@@ -92,8 +92,9 @@ fmt:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Exercise the decoder, hash-lookup and request-body scanner fuzz targets
-# briefly (CI runs this non-blocking).
+# Exercise the decoder, compact-hash lookup and request-body scanner fuzz
+# targets briefly (CI runs this non-blocking). FuzzLookup fuzzes
+# perfecthash.BuildCompact and the compact probe.
 fuzz-smoke:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -run='^$$' ./internal/core
 	$(GO) test -fuzz=FuzzLookup -fuzztime=10s -run='^$$' ./internal/perfecthash

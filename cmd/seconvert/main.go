@@ -1,14 +1,13 @@
-// Command seconvert rewrites an existing index container into another
-// on-disk layout without rebuilding it. Its one conversion today is
-// -layout=flat: an se container (or a multi of se shards) is re-laid into
-// the zero-parse flat layout, which seserve queries straight from the
-// memory-mapped file — O(1) cold start, no decode copies, and a smaller
-// file (cold sections are deflated). Answers are bit-identical to the
-// decoded layout's.
+// Command seconvert rewrites an existing index container into the
+// zero-parse flat layout without rebuilding it: an se container (or a
+// multi of se shards) is re-laid into the flat layout, which seserve
+// queries straight from the memory-mapped file — O(1) cold start, no
+// decode copies, and a smaller file (cold sections are deflated). Answers
+// are bit-identical to the se layout's.
 //
 // Usage:
 //
-//	seconvert -in oracle.sedx -out oracle.flat.sedx [-layout flat]
+//	seconvert -in oracle.sedx -out oracle.flat.sedx
 //
 // The input may be any container sebuild writes; kinds without a flat form
 // (a2a, dynamic) are rejected. The output is written atomically: to a temp
@@ -27,17 +26,13 @@ import (
 
 func main() {
 	var (
-		in     = flag.String("in", "", "input index container (any layout)")
-		out    = flag.String("out", "", "output container path")
-		layout = flag.String("layout", "flat", "target layout (only \"flat\")")
+		in  = flag.String("in", "", "input index container (any layout)")
+		out = flag.String("out", "", "output container path")
 	)
 	flag.Parse()
 
 	if *in == "" || *out == "" {
 		fatal("need -in and -out")
-	}
-	if *layout != "flat" {
-		fatal("unknown -layout %q (want flat)", *layout)
 	}
 
 	idx, _, err := server.LoadIndexOpts(*in, false, core.LoadOptions{})

@@ -21,12 +21,12 @@ func TestEscapeCheckJoinsAnnotations(t *testing.T) {
 	}
 	var idx analysis.AnnotatedFunc
 	for _, fn := range funcs {
-		if fn.Name == "(*Table).Index" {
+		if fn.Name == "CompactSlotOf" {
 			idx = fn
 		}
 	}
 	if idx.File == "" {
-		t.Fatal("(*Table).Index is not annotated //sealint:hotpath")
+		t.Fatal("CompactSlotOf is not annotated //sealint:hotpath")
 	}
 	in := strings.Join([]string{
 		// A real escape inside the annotated range: must be reported.
@@ -49,8 +49,8 @@ func TestEscapeCheckJoinsAnnotations(t *testing.T) {
 	if len(viol) != 1 {
 		t.Fatalf("got %d violations, want 1: %v", len(viol), viol)
 	}
-	if viol[0].Func != "(*Table).Index" || viol[0].Line != idx.StartLine+1 {
-		t.Errorf("violation joined to %s line %d, want (*Table).Index line %d",
+	if viol[0].Func != "CompactSlotOf" || viol[0].Line != idx.StartLine+1 {
+		t.Errorf("violation joined to %s line %d, want CompactSlotOf line %d",
 			viol[0].Func, viol[0].Line, idx.StartLine+1)
 	}
 }

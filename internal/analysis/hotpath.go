@@ -2,7 +2,7 @@
 // the repo's headline number, today guarded at runtime by
 // testing.AllocsPerRun regression tests. hotpath is the static half:
 // functions annotated `//sealint:hotpath` (Query, QueryBatch, the
-// FlatOracle probe path, the FKS and CHD lookups) may not contain
+// FlatOracle probe path, the compact perfect-hash probe) may not contain
 // allocating constructs at all, so an alloc can't even reach the runtime
 // guard. The dynamic complement — compiler-proved escapes — is
 // scripts/escape_gate.sh, which joins `go build -gcflags=-m` output

@@ -87,8 +87,8 @@ func TestAnnotatedFuncsListsHotPaths(t *testing.T) {
 		"(*Oracle).Query",
 		"(*Oracle).QueryBatch",
 		"(*FlatOracle).Query",
-		"(*Table).Index",
-		"(*Table).Lookup",
+		"(*FlatOracle).QueryNaive",
+		"CompactBucketOf",
 		"CompactSlotOf",
 		"scanBatch",
 		"scanMatrix",

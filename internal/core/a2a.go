@@ -124,7 +124,7 @@ func BuildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions) (*Si
 	so.oracle = o
 	// The inner oracle's point table is the site list; alias it so only one
 	// copy stays resident (decode restores the same aliasing).
-	so.sites = o.pts
+	so.sites = o.Points()
 	return so, nil
 }
 
@@ -326,8 +326,8 @@ func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("site section: %w", err)
 	}
-	if len(sites) != inner.npoi {
-		return nil, fmt.Errorf("site table holds %d sites for an oracle over %d", len(sites), inner.npoi)
+	if len(sites) != inner.NumPOIs() {
+		return nil, fmt.Errorf("site table holds %d sites for an oracle over %d", len(sites), inner.NumPOIs())
 	}
 	fr := bytes.NewReader(secs[secFaceSites])
 	var nfaces int64
@@ -375,13 +375,12 @@ func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	}
 	// The sites are the inner oracle's POIs; share the table so Nearest and
 	// memory accounting behave identically to a freshly built oracle.
-	inner.pts = sites
+	inner.flat.pts = sites
 	eng := geodesic.NewExact(mesh)
 	// The inner oracle shares the site oracle's mesh and engine so
 	// QueryPath works after a load exactly as on a freshly built oracle
 	// (the a2a container carries one mesh; the inner body stays mesh-free).
-	inner.mesh = mesh
-	inner.peng = eng
+	inner.flat.mesh, inner.flat.peng = mesh, eng
 	so := &SiteOracle{
 		oracle:         inner,
 		mesh:           mesh,

@@ -1,10 +1,13 @@
 package core
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
-// The query fast path must not touch the allocator: pathOf indexes the
-// precomputed slab and lookup probes the flat hash, so a successful Query is
-// allocation-free. Enforced here rather than only observed in benchmarks —
+// The query fast path must not touch the allocator: pathRow indexes the
+// precomputed slab and lookup probes the compact hash, so a successful Query
+// is allocation-free. Enforced here rather than only observed in benchmarks —
 // and after a QueryPath has run, so the path machinery (segment cache, lazy
 // engine) provably never leaks allocations into the distance path.
 func TestQueryZeroAllocs(t *testing.T) {
@@ -112,9 +115,9 @@ func TestSelfQueryFastPath(t *testing.T) {
 	}
 }
 
-// The precomputed path slab must agree with a parent-pointer walk — on a
-// freshly built oracle and on one rebuilt by Load, whose slab is
-// recomputed from the deserialized tree.
+// The engine's paths slab must agree with a parent-pointer walk — on a
+// freshly built oracle and on one rebuilt by Load, whose slab is laid out
+// again from the deserialized tree.
 func TestPathSlabMatchesParentWalk(t *testing.T) {
 	w := newTestWorld(t, 13, 28, 107)
 	built := w.build(t, Options{Epsilon: 0.2, Seed: 109})
@@ -123,22 +126,23 @@ func TestPathSlabMatchesParentWalk(t *testing.T) {
 		t.Fatal("se container did not load as *Oracle")
 	}
 	for name, o := range map[string]*Oracle{"built": built, "decoded": decoded} {
+		layerN := o.Height() + 1
 		for p := int32(0); p < int32(o.NumPOIs()); p++ {
 			// Independent reference: walk leaf-to-root parent pointers.
-			want := make([]int32, o.layerN)
+			want := make([]uint32, layerN)
 			for i := range want {
-				want[i] = -1
+				want[i] = flatNone32
 			}
 			for n := o.tree.leaf[p]; n >= 0; n = o.tree.nodes[n].parent {
-				want[o.tree.nodes[n].layer] = n
+				want[o.tree.nodes[n].layer] = uint32(n)
 			}
-			got := o.pathOf(p)
-			if len(got) != len(want) {
-				t.Fatalf("%s POI %d: slab row has %d layers, want %d", name, p, len(got), len(want))
+			got := o.flat.pathRow(p)
+			if len(got) != 4*layerN {
+				t.Fatalf("%s POI %d: slab row has %d bytes, want %d", name, p, len(got), 4*layerN)
 			}
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s POI %d layer %d: slab %d, walk %d", name, p, i, got[i], want[i])
+				if g := binary.LittleEndian.Uint32(got[i*4:]); g != want[i] {
+					t.Fatalf("%s POI %d layer %d: slab %d, walk %d", name, p, i, g, want[i])
 				}
 			}
 		}

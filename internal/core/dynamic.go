@@ -392,8 +392,7 @@ func decodeDynamicContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	// The base oracle shares the dynamic oracle's mesh and engine so
 	// QueryPath works after a load (the dynamic container carries one mesh;
 	// the base body stays mesh-free).
-	base.mesh = mesh
-	base.peng = eng
+	base.flat.mesh, base.flat.peng = mesh, eng
 	d := &DynamicOracle{
 		eng:           eng,
 		mesh:          mesh,
@@ -442,7 +441,7 @@ func decodeDynamicContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	if mapped != base.NumPOIs() {
 		return nil, fmt.Errorf("base-id map covers %d of %d base POIs", mapped, base.NumPOIs())
 	}
-	base.pts = basePts
+	base.flat.pts = basePts
 	var nOverflow int64
 	if err := get(&nOverflow); err != nil {
 		return nil, fmt.Errorf("overflow header: %w", err)

@@ -7,14 +7,17 @@ import (
 	"io"
 	"math"
 
-	"seoracle/internal/perfecthash"
 	"seoracle/internal/terrain"
 )
 
 // Binary serialization of the SE oracle body. The body is versionless and
-// self-contained: the perfect hash is rebuilt deterministically from the
-// stored keys on load, so only the logical content is written. The tagged
-// container of container.go carries it as the secOracle section.
+// self-contained: only the logical content is written, and the query
+// engine's slabs are laid out again on load. The tagged container of
+// container.go carries it as the secOracle section.
+
+// hashSeed seeds the compact perfect hash of every SE oracle's engine, built
+// or decoded, so a tile reports the same layout (and MemoryBytes) either
+// way; the flat body records the seed placement actually used.
 const hashSeed = 0x5e0ac1e
 
 // decodeChunk bounds how many elements a decoder materializes per read, so the
@@ -58,8 +61,8 @@ func (o *Oracle) encodeBody(w io.Writer) error {
 		}
 		return nil
 	}
-	if err := put(o.eps,
-		int64(o.npoi), int64(o.tree.height), int64(o.tree.root), o.tree.r0,
+	if err := put(o.flat.eps,
+		int64(o.flat.npoi), int64(o.tree.height), int64(o.tree.root), o.tree.r0,
 		int64(len(o.tree.nodes)), int64(len(o.keys))); err != nil {
 		return err
 	}
@@ -93,10 +96,11 @@ func decodeBody(br io.Reader) (*Oracle, error) {
 	if npoi <= 0 || nNodes <= 0 || nPairs < 0 || npoi > 1<<40 || nNodes > 1<<40 || nPairs > 1<<40 {
 		return nil, fmt.Errorf("core: implausible sizes npoi=%d nodes=%d pairs=%d", npoi, nNodes, nPairs)
 	}
-	// Bound the height before anything derives layerN from it: Build caps
-	// trees at maxLayers, so a larger header value is corruption — and the
-	// O(npoi·height) path slab would otherwise turn it into a giant
-	// allocation (or an int-overflow panic) right here in the decoder.
+	// Bound the height before anything derives the layer count from it:
+	// Build caps trees at maxLayers, so a larger header value is corruption
+	// — and the engine's O(npoi·height) paths slab would otherwise turn it
+	// into a giant allocation (or an int-overflow panic) right here in the
+	// decoder.
 	if height < 0 || height >= maxLayers {
 		return nil, fmt.Errorf("core: implausible tree height %d (max %d)", height, maxLayers-1)
 	}
@@ -124,8 +128,8 @@ func decodeBody(br io.Reader) (*Oracle, error) {
 	for i := range ct.nodes {
 		if p := ct.nodes[i].parent; p >= 0 {
 			// Layers must strictly decrease towards the root; this also rules
-			// out parent cycles, which the leaf-to-root walks below (and the
-			// path-slab build) would otherwise never escape.
+			// out parent cycles, which the engine's leaf-to-root walks would
+			// otherwise never escape.
 			if ct.nodes[p].layer >= ct.nodes[i].layer {
 				return nil, fmt.Errorf("core: node %d (layer %d) has parent %d at layer >= it", i, ct.nodes[i].layer, p)
 			}
@@ -146,6 +150,13 @@ func decodeBody(br io.Reader) (*Oracle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding pairs: %w", err)
 	}
+	for i, k := range keys {
+		// The engine re-bases keys to bits(nNodes)-wide node ids; an
+		// out-of-range id could alias a valid pair there.
+		if k>>32 >= uint64(nNodes) || k&0xffffffff >= uint64(nNodes) {
+			return nil, fmt.Errorf("core: pair %d references a node out of range", i)
+		}
+	}
 	dist, err := decodeSlice[float64](br, nPairs)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding pairs: %w", err)
@@ -155,23 +166,9 @@ func decodeBody(br io.Reader) (*Oracle, error) {
 			return nil, fmt.Errorf("core: pair %d has invalid distance %g", i, d)
 		}
 	}
-	hash, err := perfecthash.Build(keys, hashSeed)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuilding hash: %w", err)
-	}
-	o := &Oracle{
-		eps:    eps,
-		tree:   ct,
-		hash:   hash,
-		keys:   keys,
-		dist:   dist,
-		npoi:   int(npoi),
-		layerN: int(height) + 1,
-	}
-	// The path slab is derived state: recompute it rather than trusting (or
+	// The engine is derived state: lay it out rather than trusting (or
 	// paying for) a serialized copy.
-	o.buildPathSlab()
-	return o, nil
+	return newOracle(eps, ct, keys, dist, int(npoi))
 }
 
 // bodyLen returns the exact encodeBody output size — the section length the
@@ -194,7 +191,7 @@ func (o *Oracle) bodySection() section {
 // body, the POI point table that backs Nearest, and — when the oracle
 // retains one — the terrain mesh that backs QueryPath, so path reporting
 // survives the round trip. Part of the DistanceIndex interface.
-func (o *Oracle) EncodeTo(w io.Writer) error { return o.encodeContainer(w, o.mesh) }
+func (o *Oracle) EncodeTo(w io.Writer) error { return o.encodeContainer(w, o.Mesh()) }
 
 // encodeContainer writes the SE container with an explicit mesh choice:
 // EncodeTo passes the oracle's own mesh, while a multi container passes nil
@@ -202,8 +199,8 @@ func (o *Oracle) EncodeTo(w io.Writer) error { return o.encodeContainer(w, o.mes
 // the tiles of one terrain would otherwise each embed an identical copy.
 func (o *Oracle) encodeContainer(w io.Writer, mesh *terrain.Mesh) error {
 	secs := []section{o.bodySection()}
-	if o.pts != nil {
-		secs = append(secs, pointsSection(secPoints, o.pts))
+	if pts := o.Points(); pts != nil {
+		secs = append(secs, pointsSection(secPoints, pts))
 	}
 	if mesh != nil {
 		secs = append(secs, meshSection(secMesh, mesh))
@@ -232,10 +229,10 @@ func decodeSEContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("point table: %w", err)
 		}
-		if len(pts) != o.npoi {
-			return nil, fmt.Errorf("point table holds %d points for %d POIs", len(pts), o.npoi)
+		if len(pts) != o.NumPOIs() {
+			return nil, fmt.Errorf("point table holds %d points for %d POIs", len(pts), o.NumPOIs())
 		}
-		o.pts = pts
+		o.flat.pts = pts
 	}
 	if payload, ok := secs[secMesh]; ok {
 		mesh, err := decodeMesh(payload)
@@ -244,12 +241,12 @@ func decodeSEContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 		}
 		// The POIs feed the geodesic engine's array indexing; bounds must
 		// hold against the mesh before QueryPath may trust them.
-		for i, p := range o.pts {
+		for i, p := range o.Points() {
 			if err := checkMeshPoint(p, mesh); err != nil {
 				return nil, fmt.Errorf("POI %d: %w", i, err)
 			}
 		}
-		o.mesh = mesh
+		o.flat.mesh = mesh
 	}
 	return o, nil
 }

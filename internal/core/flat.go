@@ -17,9 +17,10 @@ import (
 	"seoracle/internal/terrain"
 )
 
-// flat.go — the zero-parse container layout (KindFlat) and the FlatOracle
-// that queries it in place. A flat container is a normal SEDX envelope
-// holding exactly one section (secFlat) whose payload — the "body" — is a
+// flat.go — the zero-parse container layout (KindFlat) and the FlatOracle,
+// the one SE query engine: it queries a flat body in place, and every
+// *Oracle holds one laid out from its tree and pair set. A flat container is
+// a normal SEDX envelope holding exactly one section (secFlat) whose payload — the "body" — is a
 // pointer-free image of an SE oracle: a fixed header, a slab directory, and
 // 8-byte-aligned slabs laid out so the hot Query probe is two loads off the
 // body with no decode pass and no heap copy. Loading is O(#slabs): validate
@@ -52,12 +53,12 @@ import (
 //	slots  nSlots × 12 bytes    {compact key u32, dist float64} — or × 16
 //	                            {key u64, dist float64} under the wide flag
 //
-// The slot slab is the compacted FKS table (perfecthash.BuildCompact): the
+// The slot slab is the compact perfect hash (perfecthash.BuildCompact): the
 // pair key is re-based to (a<<shift | b) with shift = bits(nNodes), and the
 // distance sits inline next to its key, so a lookup is bucket hash → one
 // u16 displacement load → slot hash → one key-compare-plus-distance load.
-// Distances stay exact float64 bits — flat and decoded layouts answer
-// byte-identically.
+// Distances stay exact float64 bits, and an *Oracle's engine holds the same
+// hot slabs, so the se and flat layouts answer byte-identically.
 //
 // Cold slabs (points, mesh) hold the flate-compressed bytes of the exact
 // se-container section payloads (pointsSection / meshSection), inflated and
@@ -165,90 +166,104 @@ type flatSlab struct {
 // in place. The encoding is deterministic, so convert → load → re-encode is
 // byte-identical.
 func (o *Oracle) EncodeFlatTo(w io.Writer) error {
-	body, err := flatBody(o, o.mesh)
+	body, err := flatBody(o, o.Mesh())
 	if err != nil {
 		return err
 	}
 	return writeContainer(w, KindFlat, []section{bytesSection(secFlat, body)})
 }
 
-// flatBody assembles the flat body image from a decoded oracle. mesh is the
-// terrain to embed as the cold mesh slab — nil when a multi container
-// hoists it into a shared section.
-func flatBody(o *Oracle, mesh *terrain.Mesh) ([]byte, error) {
-	if len(o.pts) != o.npoi {
-		return nil, fmt.Errorf("core: oracle carries no point table; the flat layout requires one")
+// newFlatEngine lays out the hot slabs of an SE oracle's flat image — the
+// query engine behind every *Oracle, and the hot half of a flat container
+// body. The caller attaches the point table and the mesh in memory; nothing
+// is deflated.
+func newFlatEngine(eps float64, ct *ctree, keys []uint64, dist []float64, npoi int) (*FlatOracle, error) {
+	nNodes, layerN := len(ct.nodes), int(ct.height)+1
+	if nNodes < 1 || npoi < 1 || layerN < 1 || layerN > maxLayers {
+		return nil, fmt.Errorf("core: oracle shape (%d nodes, %d POIs, %d layers) has no flat form", nNodes, npoi, layerN)
 	}
-	nNodes := len(o.tree.nodes)
-	if nNodes < 1 || o.npoi < 1 || o.layerN < 1 || o.layerN > maxLayers {
-		return nil, fmt.Errorf("core: oracle shape (%d nodes, %d POIs, %d layers) has no flat form", nNodes, o.npoi, o.layerN)
+	f := &FlatOracle{
+		eps: eps, npoi: npoi, layerN: layerN, nNodes: nNodes, height: int(ct.height),
+		root: ct.root, r0: ct.r0, nPairs: len(keys),
+		nSlots: perfecthash.CompactSlots(len(keys)), nBuckets: perfecthash.CompactBuckets(len(keys)),
+		shift: flatShift(nNodes),
 	}
-	shift := flatShift(nNodes)
-	wide := 2*shift > 31
+	f.wide = 2*f.shift > 31
 
-	ckeys := make([]uint64, len(o.keys))
-	for i, k := range o.keys {
-		a, b := uint32(k>>32), uint32(k)
-		if wide {
+	ckeys := make([]uint64, len(keys))
+	for i, k := range keys {
+		if f.wide {
 			ckeys[i] = k
 		} else {
-			ckeys[i] = uint64(a)<<shift | uint64(b)
+			ckeys[i] = k>>32<<f.shift | k&0xffffffff
 		}
 	}
 	disp, slotOf, seed, err := perfecthash.BuildCompact(ckeys, hashSeed)
 	if err != nil {
-		return nil, fmt.Errorf("core: compact-hashing node pairs: %w", err)
+		return nil, fmt.Errorf("core: hashing node pairs: %w", err)
 	}
-	nSlots := perfecthash.CompactSlots(len(ckeys))
+	f.seed = seed
 
-	// Hot slabs.
-	leafB := make([]byte, 4*o.npoi)
-	for p, n := range o.tree.leaf {
-		binary.LittleEndian.PutUint32(leafB[p*4:], uint32(n))
+	f.leaf = make([]byte, 4*npoi)
+	f.paths = bytes.Repeat([]byte{0xFF}, 4*npoi*layerN) // flatNone32: layer skipped
+	for p, l := range ct.leaf {
+		binary.LittleEndian.PutUint32(f.leaf[p*4:], uint32(l))
+		for n := l; n >= 0; n = ct.nodes[n].parent {
+			binary.LittleEndian.PutUint32(f.paths[(p*layerN+int(ct.nodes[n].layer))*4:], uint32(n))
+		}
 	}
-	pathsB := make([]byte, 4*len(o.paths))
-	for i, n := range o.paths {
-		binary.LittleEndian.PutUint32(pathsB[i*4:], uint32(n)) // -1 becomes flatNone32
-	}
-	nodesB := make([]byte, flatNodeStride*nNodes)
-	for id, n := range o.tree.nodes {
-		rec := nodesB[id*flatNodeStride:]
+	f.nodes = make([]byte, flatNodeStride*nNodes)
+	for id, n := range ct.nodes {
+		rec := f.nodes[id*flatNodeStride:]
 		binary.LittleEndian.PutUint32(rec[0:], uint32(n.center))
 		binary.LittleEndian.PutUint32(rec[4:], uint32(n.parent)) // -1 becomes flatNone32
 		binary.LittleEndian.PutUint16(rec[8:], uint16(n.layer))
-		binary.LittleEndian.PutUint16(rec[10:], uint16(o.parentLayer(int32(id))))
+		if n.parent >= 0 {
+			binary.LittleEndian.PutUint16(rec[10:], uint16(ct.nodes[n.parent].layer))
+		}
 	}
-	dispB := make([]byte, 2*len(disp))
+	f.disp = make([]byte, 2*len(disp))
 	for i, d := range disp {
-		binary.LittleEndian.PutUint16(dispB[i*2:], d)
+		binary.LittleEndian.PutUint16(f.disp[i*2:], d)
 	}
 	stride := flatSlotStride
-	if wide {
+	if f.wide {
 		stride = flatSlotStrideWide
 	}
-	slotsB := make([]byte, stride*nSlots)
-	for s := 0; s < nSlots; s++ {
-		if wide {
-			binary.LittleEndian.PutUint64(slotsB[s*stride:], ^uint64(0))
+	f.slots = make([]byte, stride*f.nSlots)
+	for s := 0; s < f.nSlots; s++ {
+		if f.wide {
+			binary.LittleEndian.PutUint64(f.slots[s*stride:], ^uint64(0))
 		} else {
-			binary.LittleEndian.PutUint32(slotsB[s*stride:], flatNone32)
+			binary.LittleEndian.PutUint32(f.slots[s*stride:], flatNone32)
 		}
 	}
 	for i, s := range slotOf {
-		rec := slotsB[int(s)*stride:]
-		if wide {
+		rec := f.slots[int(s)*stride:]
+		if f.wide {
 			binary.LittleEndian.PutUint64(rec[0:], ckeys[i])
-			binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(o.dist[i]))
+			binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(dist[i]))
 		} else {
 			binary.LittleEndian.PutUint32(rec[0:], uint32(ckeys[i]))
-			binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(o.dist[i]))
+			binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(dist[i]))
 		}
 	}
+	return f, nil
+}
 
+// flatBody assembles the flat body image of an SE oracle: its engine's hot
+// slabs verbatim plus the deflated cold slabs. mesh is the terrain to embed
+// as the cold mesh slab — nil when a multi container hoists it into a
+// shared section.
+func flatBody(o *Oracle, mesh *terrain.Mesh) ([]byte, error) {
+	f := o.flat
+	if f.pts == nil {
+		return nil, fmt.Errorf("core: oracle carries no point table; the flat layout requires one")
+	}
 	// Cold slabs: the exact se-container section bytes, flate-compressed, so
 	// lazy decoding reuses decodePoints/decodeMesh validation unchanged.
 	var pbuf bytes.Buffer
-	if err := pointsSection(secPoints, o.pts).write(&pbuf); err != nil {
+	if err := pointsSection(secPoints, f.pts).write(&pbuf); err != nil {
 		return nil, err
 	}
 	ptsC, err := deflateBytes(pbuf.Bytes())
@@ -256,11 +271,11 @@ func flatBody(o *Oracle, mesh *terrain.Mesh) ([]byte, error) {
 		return nil, err
 	}
 	slabs := []flatSlab{
-		{id: flatSlabLeaf, data: leafB},
-		{id: flatSlabPaths, data: pathsB},
-		{id: flatSlabNodes, data: nodesB},
-		{id: flatSlabDisp, data: dispB},
-		{id: flatSlabSlots, data: slotsB},
+		{id: flatSlabLeaf, data: f.leaf},
+		{id: flatSlabPaths, data: f.paths},
+		{id: flatSlabNodes, data: f.nodes},
+		{id: flatSlabDisp, data: f.disp},
+		{id: flatSlabSlots, data: f.slots},
 		{id: flatSlabPoints, data: ptsC, rawLen: uint64(pbuf.Len())},
 	}
 	if mesh != nil {
@@ -286,23 +301,23 @@ func flatBody(o *Oracle, mesh *terrain.Mesh) ([]byte, error) {
 	body := make([]byte, off)
 	copy(body[0:], flatBodyMagic)
 	var flags uint16
-	if wide {
+	if f.wide {
 		flags |= flatFlagWide
 	}
 	binary.LittleEndian.PutUint16(body[4:], flags)
 	h := body[flatHeaderOff:]
-	binary.LittleEndian.PutUint64(h[0:], math.Float64bits(o.eps))
-	binary.LittleEndian.PutUint32(h[8:], uint32(o.npoi))
-	binary.LittleEndian.PutUint32(h[12:], uint32(o.layerN))
-	binary.LittleEndian.PutUint32(h[16:], uint32(nNodes))
-	binary.LittleEndian.PutUint32(h[20:], uint32(o.tree.root))
-	binary.LittleEndian.PutUint32(h[24:], uint32(o.tree.height))
-	binary.LittleEndian.PutUint32(h[28:], uint32(len(o.keys)))
-	binary.LittleEndian.PutUint32(h[32:], uint32(nSlots))
-	binary.LittleEndian.PutUint32(h[36:], uint32(len(disp)))
+	binary.LittleEndian.PutUint64(h[0:], math.Float64bits(f.eps))
+	binary.LittleEndian.PutUint32(h[8:], uint32(f.npoi))
+	binary.LittleEndian.PutUint32(h[12:], uint32(f.layerN))
+	binary.LittleEndian.PutUint32(h[16:], uint32(f.nNodes))
+	binary.LittleEndian.PutUint32(h[20:], uint32(f.root))
+	binary.LittleEndian.PutUint32(h[24:], uint32(f.height))
+	binary.LittleEndian.PutUint32(h[28:], uint32(f.nPairs))
+	binary.LittleEndian.PutUint32(h[32:], uint32(f.nSlots))
+	binary.LittleEndian.PutUint32(h[36:], uint32(f.nBuckets))
 	binary.LittleEndian.PutUint32(h[40:], uint32(len(slabs)))
-	binary.LittleEndian.PutUint64(h[48:], math.Float64bits(o.tree.r0))
-	binary.LittleEndian.PutUint64(h[56:], seed)
+	binary.LittleEndian.PutUint64(h[48:], math.Float64bits(f.r0))
+	binary.LittleEndian.PutUint64(h[56:], f.seed)
 	for i, s := range slabs {
 		ent := body[flatDirOff+i*flatDirEntryLen:]
 		binary.LittleEndian.PutUint32(ent[0:], s.id)
@@ -325,7 +340,7 @@ func ConvertFlat(idx DistanceIndex) (DistanceIndex, error) {
 	case *FlatOracle:
 		return v, nil
 	case *Oracle:
-		return flatFromOracle(v, v.mesh, nil)
+		return flatFromOracle(v, v.Mesh(), nil)
 	case *ShardedIndex:
 		shared := v.sharedMesh()
 		members := make([]ShardMember, len(v.members))
@@ -345,8 +360,8 @@ func ConvertFlat(idx DistanceIndex) (DistanceIndex, error) {
 				}
 				return nil, fmt.Errorf("core: member %q (kind %s) has no flat layout", m.Name, m.Index.Stats().Kind)
 			}
-			embed, adopted := o.mesh, (*terrain.Mesh)(nil)
-			if shared != nil && o.mesh == shared {
+			embed, adopted := o.Mesh(), (*terrain.Mesh)(nil)
+			if shared != nil && embed == shared {
 				embed, adopted = nil, shared
 			}
 			f, err := flatFromOracle(o, embed, adopted)
@@ -371,6 +386,7 @@ func ConvertFlat(idx DistanceIndex) (DistanceIndex, error) {
 // flatFromOracle encodes o's flat body and decodes it back — the in-memory
 // conversion path sebuild -layout=flat and seconvert share with the loader,
 // so a converted index is bit-for-bit what a flat load would produce.
+// adopted, when set, is a shared mesh the body does not embed.
 func flatFromOracle(o *Oracle, mesh, adopted *terrain.Mesh) (*FlatOracle, error) {
 	body, err := flatBody(o, mesh)
 	if err != nil {
@@ -380,20 +396,22 @@ func flatFromOracle(o *Oracle, mesh, adopted *terrain.Mesh) (*FlatOracle, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: flat body failed its own validation: %w", err)
 	}
-	f.adopted = adopted
+	f.mesh = adopted
 	return f, nil
 }
 
 // --- FlatOracle --------------------------------------------------------------
 
-// FlatOracle is the zero-parse SE oracle: it answers every query of the
-// decoded *Oracle by reading the flat container body in place (a memory
-// mapping, when loaded through one). The hot Query path touches only the
-// fixed-stride slabs; the point table and mesh inflate lazily on the first
-// Nearest/NearestK/QueryPath call. Like a decoded oracle it is immutable
-// and safe for concurrent use.
+// FlatOracle is the SE query engine: the §3.4 probe, path stitching and
+// nearest scans over the fixed-stride slabs of the flat layout. It comes in
+// two forms. Loaded from a flat container it reads the body in place (a
+// memory mapping, when loaded through one), and the point table and mesh
+// inflate lazily on the first Nearest/NearestK/QueryPath call. As the
+// engine of an *Oracle it owns heap slabs laid out by newFlatEngine, with
+// the oracle's points and mesh attached. Either way it is immutable and
+// safe for concurrent use.
 type FlatOracle struct {
-	body []byte // the secFlat section payload, retained verbatim
+	body []byte // the secFlat section payload, retained verbatim; nil for an *Oracle's engine
 	keep any    // mapping owner, referenced so a finalizer-driven munmap outlives us
 
 	eps      float64
@@ -414,16 +432,18 @@ type FlatOracle struct {
 	ptsC, meshC                     []byte
 	ptsRaw, meshRaw                 int
 
-	// Lazy cold-slab state. heapExtra accumulates the decoded structures'
-	// heap cost so MemoryBytes stays truthful without synchronizing on the
-	// sync.Once internals.
+	// Cold state. pts and mesh inflate lazily from ptsC and meshC; when a
+	// cold slab is absent they are attached in memory instead (an *Oracle's
+	// points and mesh, or the shared mesh of a multi container) and may be
+	// nil. heapExtra accumulates the inflated structures' heap cost so
+	// MemoryBytes stays truthful without synchronizing on the sync.Once
+	// internals.
 	ptsOnce   sync.Once
 	pts       []terrain.SurfacePoint
 	ptsErr    error
 	meshOnce  sync.Once
 	mesh      *terrain.Mesh
 	meshErr   error
-	adopted   *terrain.Mesh // shared mesh attached by a multi container
 	heapExtra atomic.Int64
 
 	pathMu   sync.Mutex
@@ -587,7 +607,6 @@ func decodeFlatBody(body []byte, keep any) (*FlatOracle, error) {
 
 // --- hot query path ----------------------------------------------------------
 
-// checkIDs validates POI ids against the header, mirroring Oracle.checkIDs.
 // checkIDs validates two POI ids on the hot probe path; the error
 // constructors only run for invalid input.
 //
@@ -660,10 +679,11 @@ func (f *FlatOracle) errFlatCorrupt(what string, v uint32) error {
 	return fmt.Errorf("core: flat container corrupt: %s %d out of range [0,%d)", what, v, f.nNodes)
 }
 
-// Query returns the ε-approximate geodesic distance between POIs s and t,
-// reading only the mapped hot slabs — the two-loads-per-probe path the flat
-// layout exists for. Zero heap allocations on success; mirrors
-// Oracle.Query answer-for-answer (identical float64 bits).
+// Query returns the ε-approximate geodesic distance between POIs s and t
+// using the efficient O(h) method of §3.4, reading only the hot slabs: one
+// same-layer scan plus the first-higher-layer and first-lower-layer passes
+// justified by Lemma 3 / Observation 1, each probe two loads. Zero heap
+// allocations on success.
 //
 //sealint:hotpath
 func (f *FlatOracle) Query(s, t int32) (float64, error) {
@@ -671,17 +691,20 @@ func (f *FlatOracle) Query(s, t int32) (float64, error) {
 		return 0, err
 	}
 	if s == t {
+		// A same-leaf self pair is not guaranteed to be in the
+		// well-separated pair set, and scanning for one would burn the full
+		// O(h) passes to state the obvious.
 		return 0, nil
 	}
 	d, _, _, err := f.queryPair(s, t)
 	return d, err
 }
 
-// queryPair is Oracle.queryPair over the byte slabs: the same-layer scan
-// plus the first-higher and first-lower passes of §3.4, returning the
-// matched node pair for QueryPath. Node ids read from the paths slab are
-// bounds-guarded before they index the nodes slab, so corrupt content
-// errors instead of faulting.
+// queryPair runs the O(h) scan of §3.4 and returns the unique matched node
+// pair (Theorem 1) along with its stored distance: Query drops the nodes,
+// QueryPath stitches the highway path between their centers. Node ids read
+// from the paths slab are bounds-guarded before they index the nodes slab,
+// so corrupt content errors instead of faulting.
 //
 //sealint:hotpath
 func (f *FlatOracle) queryPair(s, t int32) (float64, uint32, uint32, error) {
@@ -753,9 +776,12 @@ func (f *FlatOracle) queryPair(s, t int32) (float64, uint32, uint32, error) {
 	return 0, 0, 0, fmt.Errorf("core: no node pair contains POIs (%d,%d); oracle corrupt", s, t)
 }
 
-// QueryBatch answers pairs[i] into dst[i] with the decoded oracle's batch
-// contract: cap(dst) >= len(pairs) performs no allocations, the first
-// invalid pair returns the filled prefix and the error.
+// QueryBatch answers pairs[i] = (s, t) into dst[i] and returns dst. When
+// cap(dst) >= len(pairs) the call performs no heap allocations (pass dst ==
+// nil to let the call allocate). On the first invalid pair the filled prefix
+// and the error are returned. This is the throughput surface for serving
+// bulk workloads: one bounds-checked call, no per-query interface or slice
+// churn.
 //
 //sealint:hotpath
 func (f *FlatOracle) QueryBatch(pairs [][2]int32, dst []float64) ([]float64, error) {
@@ -776,16 +802,81 @@ func (f *FlatOracle) QueryBatch(pairs [][2]int32, dst []float64) ([]float64, err
 }
 
 // QueryMatrix fills dst with the row-major sources×targets matrix through
-// the zero-allocation batch path. Part of the MatrixIndex interface.
+// the zero-allocation batch path, one row per worker. Part of the
+// MatrixIndex interface.
 func (f *FlatOracle) QueryMatrix(sources, targets []int32, dst []float64) ([]float64, error) {
 	return MatrixViaBatch(f, sources, targets, dst)
+}
+
+// QueryNaive answers the same query by probing the full A_s × A_t product
+// (the O(h²) naive method of §3.4). Kept as the SE-Naive baseline of the §5
+// ablation and as a cross-check for Query.
+//
+//sealint:hotpath
+func (f *FlatOracle) QueryNaive(s, t int32) (float64, error) {
+	if err := f.checkIDs(s, t); err != nil {
+		return 0, err
+	}
+	if s == t {
+		return 0, nil
+	}
+	d, n, err := f.productScan(s, t, true)
+	if err != nil {
+		return 0, err
+	}
+	if n == 0 {
+		//sealint:ignore corrupt-oracle error path, never taken on a well-formed image
+		return 0, fmt.Errorf("core: no node pair contains POIs (%d,%d); oracle corrupt", s, t)
+	}
+	return d, nil
+}
+
+// productScan probes the full A_s × A_t product and returns the number of
+// matched node pairs with the distance of the last one; first stops at the
+// first match.
+//
+//sealint:hotpath
+func (f *FlatOracle) productScan(s, t int32, first bool) (float64, int, error) {
+	as := f.pathRow(s)
+	at := f.pathRow(t)
+	nn := uint32(f.nNodes)
+	d, cnt := 0.0, 0
+	for i := 0; i < f.layerN; i++ {
+		a := binary.LittleEndian.Uint32(as[i*4:])
+		if a == flatNone32 {
+			continue
+		}
+		if a >= nn {
+			return 0, 0, f.errFlatCorrupt("path node", a)
+		}
+		for j := 0; j < f.layerN; j++ {
+			b := binary.LittleEndian.Uint32(at[j*4:])
+			if b == flatNone32 {
+				continue
+			}
+			if b >= nn {
+				return 0, 0, f.errFlatCorrupt("path node", b)
+			}
+			if v, ok := f.lookup(a, b); ok {
+				d, cnt = v, cnt+1
+				if first {
+					return d, cnt, nil
+				}
+			}
+		}
+	}
+	return d, cnt, nil
 }
 
 // --- lazy cold slabs ---------------------------------------------------------
 
 // points inflates and validates the point slab on first use; Query never
-// calls this, which is what keeps cold start O(1).
+// calls this, which is what keeps cold start O(1). An engine without a point
+// slab returns its attached table, which may be nil.
 func (f *FlatOracle) points() ([]terrain.SurfacePoint, error) {
+	if f.ptsC == nil {
+		return f.pts, nil
+	}
 	f.ptsOnce.Do(func() {
 		raw, err := inflateSlab(f.ptsC, f.ptsRaw)
 		if err != nil {
@@ -808,14 +899,14 @@ func (f *FlatOracle) points() ([]terrain.SurfacePoint, error) {
 }
 
 // meshRef resolves the terrain for path queries: the embedded mesh slab
-// (inflated and rebuilt on first use) or the shared mesh a multi container
-// attached; ErrNoPathGeometry when the oracle carries neither.
+// (inflated and rebuilt on first use) or the attached mesh;
+// ErrNoPathGeometry when the oracle carries neither.
 func (f *FlatOracle) meshRef() (*terrain.Mesh, error) {
 	if f.meshC == nil {
-		if f.adopted != nil {
-			return f.adopted, nil
+		if f.mesh == nil {
+			return nil, ErrNoPathGeometry
 		}
-		return nil, ErrNoPathGeometry
+		return f.mesh, nil
 	}
 	f.meshOnce.Do(func() {
 		raw, err := inflateSlab(f.meshC, f.meshRaw)
@@ -835,16 +926,11 @@ func (f *FlatOracle) meshRef() (*terrain.Mesh, error) {
 }
 
 // Mesh returns the oracle's terrain if it is already resident (embedded and
-// decoded, or adopted from a multi container), nil otherwise. It never
-// triggers the lazy inflate; parity tests and the encoder use it.
-func (f *FlatOracle) Mesh() *terrain.Mesh {
-	if f.adopted != nil && f.meshC == nil {
-		return f.adopted
-	}
-	return f.mesh
-}
+// decoded, or attached), nil otherwise. It never triggers the lazy inflate;
+// parity tests and the encoder use it.
+func (f *FlatOracle) Mesh() *terrain.Mesh { return f.mesh }
 
-// Points returns the lazily decoded POI point table.
+// Points returns the POI point table: lazily inflated, or the attached one.
 func (f *FlatOracle) Points() ([]terrain.SurfacePoint, error) { return f.points() }
 
 // Nearest returns the indexed POI planar-closest to (x, y). Part of the
@@ -874,6 +960,9 @@ func (f *FlatOracle) Reachable(src int32, d float64) ([]Reached, error) {
 	if err != nil {
 		return nil, err
 	}
+	if pts == nil {
+		return nil, fmt.Errorf("core: index carries no point table")
+	}
 	ids := make([]int32, f.npoi)
 	for i := range ids {
 		ids[i] = int32(i)
@@ -883,47 +972,49 @@ func (f *FlatOracle) Reachable(src int32, d float64) ([]Reached, error) {
 
 // --- path queries ------------------------------------------------------------
 
-// pathSetup resolves the point table, the terrain and the geodesic engine,
-// validating every POI anchor against the mesh exactly once — the flat
-// counterpart of the checks the se decoders run eagerly.
-func (f *FlatOracle) pathSetup() (geodesic.PathEngine, []terrain.SurfacePoint, error) {
-	pts, err := f.points()
-	if err != nil {
-		return nil, nil, err
-	}
+// pathSetup resolves the terrain and the geodesic engine, validating every
+// POI anchor against the mesh exactly once — the lazy counterpart of the
+// checks the se decoders run eagerly. An engine handed a path engine at
+// construction uses it as is.
+func (f *FlatOracle) pathSetup(pts []terrain.SurfacePoint) (geodesic.PathEngine, error) {
 	m, err := f.meshRef()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	f.pathMu.Lock()
 	defer f.pathMu.Unlock()
 	if f.pengErr != nil {
-		return nil, nil, f.pengErr
+		return nil, f.pengErr
 	}
 	if f.peng == nil {
 		for i, p := range pts {
 			if err := checkMeshPoint(p, m); err != nil {
 				f.pengErr = fmt.Errorf("core: flat POI %d against the mesh: %w", i, err)
-				return nil, nil, f.pengErr
+				return nil, f.pengErr
 			}
 		}
 		f.peng = geodesic.NewExact(m)
 	}
-	return f.peng, pts, nil
+	return f.peng, nil
 }
 
-// QueryPath returns the ε-approximate highway path between POIs s and t —
-// Oracle.QueryPath over the mapped slabs, with the same hop cache and the
-// same polyline (flat and decoded paths are byte-identical).
+// QueryPath returns the ε-approximate highway path between POIs s and t:
+// the polyline runs s → (center chain of the matched node O) → (pair
+// geodesic) → (center chain of O', reversed) → t, and the returned distance
+// is the polyline's exact summed length. Safe for concurrent use; hop
+// geodesics are cached across calls under an internal lock.
 func (f *FlatOracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) {
 	if err := f.checkIDs(s, t); err != nil {
 		return nil, 0, err
 	}
+	pts, err := f.points()
+	if err != nil {
+		return nil, 0, err
+	}
+	if pts == nil {
+		return nil, 0, fmt.Errorf("core: oracle carries no point table: %w", ErrNoPathGeometry)
+	}
 	if s == t {
-		pts, err := f.points()
-		if err != nil {
-			return nil, 0, err
-		}
 		p := pts[s]
 		return []terrain.SurfacePoint{p, p}, 0, nil
 	}
@@ -931,7 +1022,7 @@ func (f *FlatOracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, err
 	if err != nil {
 		return nil, 0, err
 	}
-	eng, pts, err := f.pathSetup()
+	eng, err := f.pathSetup(pts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -949,6 +1040,8 @@ func (f *FlatOracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, err
 		if len(path) == 0 {
 			path = append(path, seg...)
 		} else {
+			// The hop starts exactly where the previous one ended (the
+			// shared center's surface point).
 			path = append(path, seg[1:]...)
 		}
 		total += segLen
@@ -956,8 +1049,10 @@ func (f *FlatOracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, err
 	return path, total, nil
 }
 
-// centerSequence mirrors Oracle.centerSequence over the leaf and nodes
-// slabs.
+// centerSequence builds the POI id sequence of the highway path: s's center
+// chain up to node na, then nb's chain down to t, with coincident
+// neighbors collapsed (the leaf's center is the POI itself, and a matched
+// node's center can equal the query POI).
 func (f *FlatOracle) centerSequence(s, t int32, na, nb uint32) ([]int32, error) {
 	seq := make([]int32, 0, 2*f.layerN)
 	seq, err := f.appendCenterChain(seq, s, na)
@@ -977,9 +1072,12 @@ func (f *FlatOracle) centerSequence(s, t int32, na, nb uint32) ([]int32, error) 
 	return seq, nil
 }
 
-// appendCenterChain walks POI p's leaf-to-node parent chain through the
-// nodes slab, bounds-guarding every hop (and bounding the walk's length, so
-// a corrupt parent cycle terminates with an error instead of spinning).
+// appendCenterChain appends the centers on POI p's leaf-to-node path
+// (starting with p itself, ending with node's center, consecutive
+// duplicates collapsed), walking the nodes slab. node must be an ancestor
+// of p's leaf — queryPair guarantees it for matched pairs. Every hop is
+// bounds-guarded and the walk's length bounded, so a corrupt parent cycle
+// terminates with an error instead of spinning.
 func (f *FlatOracle) appendCenterChain(seq []int32, p int32, node uint32) ([]int32, error) {
 	seq = appendPOI(seq, p)
 	n := binary.LittleEndian.Uint32(f.leaf[int(p)*4:])
@@ -1003,9 +1101,11 @@ func (f *FlatOracle) appendCenterChain(seq []int32, p int32, node uint32) ([]int
 	}
 }
 
-// hopSegment serves and fills the canonical-direction geodesic hop cache —
-// Oracle.hopSegment with the point table passed in (it is lazily decoded
-// here).
+// hopSegment returns the geodesic polyline between POIs u and v and its
+// length, serving and filling the canonical-direction cache. The returned
+// slice is oriented u → v and safe for the caller to copy from (reversed
+// hops are rebuilt from the cached canonical polyline; reversal preserves
+// the length).
 func (f *FlatOracle) hopSegment(eng geodesic.PathEngine, pts []terrain.SurfacePoint, u, v int32) ([]terrain.SurfacePoint, float64, error) {
 	lo, hi := u, v
 	if lo > hi {
@@ -1055,8 +1155,9 @@ func (f *FlatOracle) Height() int { return f.height }
 func (f *FlatOracle) NumPairs() int { return f.nPairs }
 
 // MemoryBytes reports the oracle's heap-resident size: the struct plus
-// whatever the lazy cold-slab decodes have materialized. The container
-// image itself is counted by MappedBytes — the split /statsz reports.
+// whatever the lazy cold-slab decodes have materialized. The body is left
+// out on purpose: the container image is counted by MappedBytes — the split
+// /statsz reports. (An *Oracle charges its engine's owned slabs itself.)
 func (f *FlatOracle) MemoryBytes() int64 {
 	return flatStructBytes + f.heapExtra.Load()
 }
@@ -1087,14 +1188,13 @@ func (f *FlatOracle) EncodeTo(w io.Writer) error {
 }
 
 // CheckInvariants validates the unique-node-pair-match property (Theorem 1)
-// for a grid of POI pairs — the flat counterpart of Oracle.CheckInvariants'
-// sampled check (the tree-shape and separation checks need the decoded
-// radii, which the flat layout deliberately drops).
+// for a grid of POI pairs. Oracle.CheckInvariants adds the tree-shape and
+// separation checks, which need the radii the flat layout drops.
 func (f *FlatOracle) CheckInvariants() error {
 	step := f.npoi/17 + 1
 	for s := 0; s < f.npoi; s += step {
 		for t := 0; t < f.npoi; t += step {
-			cnt, err := f.countMatches(int32(s), int32(t))
+			_, cnt, err := f.productScan(int32(s), int32(t), false)
 			if err != nil {
 				return err
 			}
@@ -1104,35 +1204,4 @@ func (f *FlatOracle) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// countMatches counts node pairs containing (s, t) over the full A_s × A_t
-// product.
-func (f *FlatOracle) countMatches(s, t int32) (int, error) {
-	as := f.pathRow(s)
-	at := f.pathRow(t)
-	nn := uint32(f.nNodes)
-	cnt := 0
-	for i := 0; i < f.layerN; i++ {
-		a := binary.LittleEndian.Uint32(as[i*4:])
-		if a == flatNone32 {
-			continue
-		}
-		if a >= nn {
-			return 0, f.errFlatCorrupt("path node", a)
-		}
-		for j := 0; j < f.layerN; j++ {
-			b := binary.LittleEndian.Uint32(at[j*4:])
-			if b == flatNone32 {
-				continue
-			}
-			if b >= nn {
-				return 0, f.errFlatCorrupt("path node", b)
-			}
-			if _, ok := f.lookup(a, b); ok {
-				cnt++
-			}
-		}
-	}
-	return cnt, nil
 }

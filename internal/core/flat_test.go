@@ -32,7 +32,7 @@ func flatPair(t *testing.T, nx, npoi int, seed int64) (*testWorld, *Oracle, *Fla
 
 func TestFlatQueryParity(t *testing.T) {
 	_, o, f := flatPair(t, 11, 24, 9001)
-	n := int32(o.npoi)
+	n := int32(o.NumPOIs())
 	for s := int32(0); s < n; s++ {
 		for u := int32(0); u < n; u++ {
 			want, err1 := o.Query(s, u)
@@ -55,7 +55,7 @@ func TestFlatQueryParity(t *testing.T) {
 
 func TestFlatBatchAndMatrixParity(t *testing.T) {
 	_, o, f := flatPair(t, 9, 16, 9100)
-	n := int32(o.npoi)
+	n := int32(o.NumPOIs())
 	var pairs [][2]int32
 	for s := int32(0); s < n; s++ {
 		pairs = append(pairs, [2]int32{s, (s * 7) % n}, [2]int32{(s + 3) % n, s})
@@ -93,7 +93,7 @@ func TestFlatBatchAndMatrixParity(t *testing.T) {
 
 func TestFlatPathParity(t *testing.T) {
 	_, o, f := flatPair(t, 9, 14, 9200)
-	n := int32(o.npoi)
+	n := int32(o.NumPOIs())
 	for _, pair := range [][2]int32{{0, n - 1}, {1, n / 2}, {n - 1, 0}, {2, 2}} {
 		wp, wl, err1 := o.QueryPath(pair[0], pair[1])
 		gp, gl, err2 := f.QueryPath(pair[0], pair[1])
@@ -222,11 +222,11 @@ func TestFlatEncodeLoadRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s returned %T, want *FlatOracle", load.name, idx)
 		}
-		d1, err := lf.Query(0, int32(o.npoi-1))
+		d1, err := lf.Query(0, int32(o.NumPOIs()-1))
 		if err != nil {
 			t.Fatalf("%s Query: %v", load.name, err)
 		}
-		d2, _ := o.Query(0, int32(o.npoi-1))
+		d2, _ := o.Query(0, int32(o.NumPOIs()-1))
 		if math.Float64bits(d1) != math.Float64bits(d2) {
 			t.Fatalf("%s: loaded flat answers %v, decoded %v", load.name, d1, d2)
 		}
@@ -461,7 +461,7 @@ func TestFlatMultiConvertAndDegraded(t *testing.T) {
 
 func TestFlatQueryZeroAllocs(t *testing.T) {
 	_, o, f := flatPair(t, 9, 16, 9900)
-	n := int32(o.npoi)
+	n := int32(o.NumPOIs())
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := f.Query(0, n-1); err != nil {
 			t.Fatal(err)

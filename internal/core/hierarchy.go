@@ -397,10 +397,7 @@ func (sh *ShardedIndex) resolveGlobal(id int32) (int, int32, error) {
 func surfacePointOf(idx DistanceIndex, local int32) (terrain.SurfacePoint, error) {
 	switch v := idx.(type) {
 	case *Oracle:
-		if local < 0 || int(local) >= len(v.pts) {
-			return terrain.SurfacePoint{}, fmt.Errorf("core: POI id %d outside the member point table (%d points)", local, len(v.pts))
-		}
-		return v.pts[local], nil
+		return surfacePointOf(v.flat, local)
 	case *FlatOracle:
 		pts, err := v.Points()
 		if err != nil {

@@ -58,16 +58,6 @@ func reachableScan(idx DistanceIndex, ids []int32, at func(int32) terrain.Surfac
 	return out, nil
 }
 
-// Reachable returns every POI within surface distance d of POI src, in
-// ascending id order. Part of the Reachability interface.
-func (o *Oracle) Reachable(src int32, d float64) ([]Reached, error) {
-	ids := make([]int32, o.npoi)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	return reachableScan(o, ids, func(id int32) terrain.SurfacePoint { return o.pts[id] }, src, d)
-}
-
 // Reachable returns every site within surface distance d of site src,
 // through the inner SE oracle. Part of the Reachability interface.
 func (so *SiteOracle) Reachable(src int32, d float64) ([]Reached, error) {

@@ -204,16 +204,16 @@ func (lm *lazyMember) decode() (DistanceIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o, ok := idx.(*Oracle); ok && o.mesh == nil && shared != nil {
-		for j, p := range o.pts {
+	if o, ok := idx.(*Oracle); ok && o.Mesh() == nil && shared != nil {
+		for j, p := range o.Points() {
 			if err := checkMeshPoint(p, shared); err != nil {
 				return nil, fmt.Errorf("POI %d against the shared mesh: %w", j, err)
 			}
 		}
-		o.mesh = shared
+		o.flat.mesh = shared
 	}
 	if fo, ok := idx.(*FlatOracle); ok && fo.meshC == nil && shared != nil {
-		fo.adopted = shared
+		fo.mesh = shared
 	}
 	if lm.expectPts >= 0 {
 		if got := idx.Stats().Points; int64(got) != lm.expectPts {

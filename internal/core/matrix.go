@@ -82,13 +82,6 @@ func matrixViaBatch(ctx context.Context, idx DistanceIndex, sources, targets []i
 	return dst, nil
 }
 
-// QueryMatrix fills dst with the row-major sources×targets distance matrix
-// through the zero-allocation QueryBatch path, one row per worker. Part of
-// the MatrixIndex interface.
-func (o *Oracle) QueryMatrix(sources, targets []int32, dst []float64) ([]float64, error) {
-	return MatrixViaBatch(o, sources, targets, dst)
-}
-
 // QueryMatrix fills dst with the row-major site-id distance matrix through
 // the inner SE oracle. Part of the MatrixIndex interface.
 func (so *SiteOracle) QueryMatrix(sources, targets []int32, dst []float64) ([]float64, error) {

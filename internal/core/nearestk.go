@@ -110,12 +110,6 @@ func nearestKScan(pts []terrain.SurfacePoint, skip func(int32) bool, x, y float6
 	return out, nil
 }
 
-// NearestK returns up to k POIs ordered by planar distance to (x, y), ties
-// toward the lower id. Part of the NearestKFinder interface.
-func (o *Oracle) NearestK(x, y float64, k int) ([]Neighbor, error) {
-	return nearestKScan(o.pts, nil, x, y, k)
-}
-
 // NearestK returns up to k sites ordered by planar distance to (x, y), ties
 // toward the lower id. Part of the NearestKFinder interface.
 func (so *SiteOracle) NearestK(x, y float64, k int) ([]Neighbor, error) {

@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"seoracle/internal/geodesic"
-	"seoracle/internal/perfecthash"
 	"seoracle/internal/terrain"
 )
 
@@ -57,37 +55,19 @@ type BuildStats struct {
 // POI-to-POI geodesic distance queries in O(h) time and occupies O(nh/ε^2β)
 // space, independent of the terrain size N.
 //
-// A built (or decoded) Oracle is immutable: Query, QueryNaive,
-// CheckInvariants, Encode and every accessor only read its state, so one
-// Oracle may be shared freely across goroutines without external locking.
-// (QueryPath's geodesic-segment cache is the one internally synchronized
-// exception; see path.go.)
+// The oracle keeps the logical content the se container serializes — the
+// tree and the pair keys and distances — and answers every query through
+// flat, its query engine: the hot slabs of the flat layout, laid out once by
+// Build or the decoder, with the point table and mesh attached in memory.
+// A built (or decoded) Oracle is immutable, so one Oracle may be shared
+// freely across goroutines without external locking. (QueryPath's
+// geodesic-segment cache is the one internally synchronized exception.)
 type Oracle struct {
-	eps    float64
-	tree   *ctree
-	hash   *perfecthash.Table
-	keys   []uint64 // pair keys, aligned with dist
-	dist   []float64
-	npoi   int
-	stats  BuildStats
-	layerN int     // h+1, the number of layers
-	paths  []int32 // flat path slab: POI p's A_s row at [p*layerN, (p+1)*layerN)
-	// pts is the indexed POI point table. Build always records it (it backs
-	// Nearest and is serialized as the container's point section); an se
-	// container without that section loads with none.
-	pts []terrain.SurfacePoint
-
-	// mesh is the terrain the oracle was built on, retained (and serialized
-	// as the container's mesh section) so QueryPath can stitch geodesic
-	// segments after a load. Nil when the construction engine exposed no
-	// mesh or the oracle came from a pre-path stream; distance queries never
-	// touch it. peng is the path-capable geodesic engine — the construction
-	// engine when it reported paths, else built lazily from mesh under
-	// pathMu (path.go).
-	mesh     *terrain.Mesh
-	peng     geodesic.PathEngine
-	pathMu   sync.Mutex
-	segCache map[uint64]pathSeg // canonical POI pair -> geodesic hop segment
+	tree  *ctree
+	keys  []uint64 // pair keys, aligned with dist
+	dist  []float64
+	stats BuildStats
+	flat  *FlatOracle // also holds ε and the POI count
 }
 
 // Build constructs an SE oracle over the POIs of a terrain using eng as the
@@ -152,35 +132,34 @@ func Build(eng geodesic.Engine, pois []terrain.SurfacePoint, opt Options) (*Orac
 		keys[i] = packPair(p.a, p.b)
 		dist[i] = p.dist
 	}
-	hash, err := perfecthash.Build(keys, opt.Seed+1)
+	o, err := newOracle(opt.Epsilon, ct, keys, dist, len(pois))
 	if err != nil {
-		return nil, fmt.Errorf("core: hashing node pairs: %w", err)
+		return nil, err
 	}
-	stats.HashTime = time.Since(t3)
-
-	o := &Oracle{
-		eps:    opt.Epsilon,
-		tree:   ct,
-		hash:   hash,
-		keys:   keys,
-		dist:   dist,
-		npoi:   len(pois),
-		stats:  stats,
-		layerN: int(ct.height) + 1,
-		pts:    append([]terrain.SurfacePoint(nil), pois...),
-	}
-	o.buildPathSlab()
+	o.stats = stats
+	o.stats.HashTime = time.Since(t3)
+	o.flat.pts = append([]terrain.SurfacePoint(nil), pois...)
 	// Retain the path-reporting surface when the engine exposes it: the
 	// mesh is serialized with the oracle (QueryPath survives a round trip)
 	// and the engine itself is reused so hop geodesics share its pooled
 	// scratch.
 	if pe, ok := eng.(geodesic.PathEngine); ok {
-		o.peng = pe
+		o.flat.peng = pe
 	}
 	if me, ok := eng.(interface{ Mesh() *terrain.Mesh }); ok {
-		o.mesh = me.Mesh()
+		o.flat.mesh = me.Mesh()
 	}
 	return o, nil
+}
+
+// newOracle wraps an oracle's logical content and lays out its query
+// engine. The point table and mesh start detached.
+func newOracle(eps float64, ct *ctree, keys []uint64, dist []float64, npoi int) (*Oracle, error) {
+	f, err := newFlatEngine(eps, ct, keys, dist, npoi)
+	if err != nil {
+		return nil, err
+	}
+	return &Oracle{tree: ct, keys: keys, dist: dist, flat: f}, nil
 }
 
 // countingEngine counts SSAD invocations for BuildStats. The counter is
@@ -197,10 +176,10 @@ func (c *countingEngine) DistancesTo(src terrain.SurfacePoint, targets []terrain
 }
 
 // Epsilon returns the oracle's error parameter.
-func (o *Oracle) Epsilon() float64 { return o.eps }
+func (o *Oracle) Epsilon() float64 { return o.flat.eps }
 
 // NumPOIs returns the number of POIs the oracle indexes.
-func (o *Oracle) NumPOIs() int { return o.npoi }
+func (o *Oracle) NumPOIs() int { return o.flat.npoi }
 
 // Height returns the partition-tree height h (the query cost driver).
 func (o *Oracle) Height() int { return int(o.tree.height) }
@@ -216,8 +195,8 @@ func (o *Oracle) BuildStats() BuildStats { return o.stats }
 func (o *Oracle) Stats() IndexStats {
 	return IndexStats{
 		Kind:        KindSE,
-		Epsilon:     o.eps,
-		Points:      o.npoi,
+		Epsilon:     o.flat.eps,
+		Points:      o.flat.npoi,
 		Height:      int(o.tree.height),
 		Pairs:       len(o.dist),
 		MemoryBytes: o.MemoryBytes(),
@@ -228,17 +207,61 @@ func (o *Oracle) Stats() IndexStats {
 // Points returns the indexed POI point table, or nil when the oracle was
 // loaded from a container that carried none. The slice aliases
 // oracle-owned memory and must be treated as read-only.
-func (o *Oracle) Points() []terrain.SurfacePoint { return o.pts }
+func (o *Oracle) Points() []terrain.SurfacePoint { return o.flat.pts }
+
+// Mesh returns the terrain the oracle retains for path queries, or nil for
+// distance-only oracles (containers without a mesh, mesh-less engines).
+func (o *Oracle) Mesh() *terrain.Mesh { return o.flat.mesh }
+
+// Query returns the ε-approximate geodesic distance between POIs s and t
+// (§3.4, O(h)). A successful query performs no heap allocations.
+//
+//sealint:hotpath
+func (o *Oracle) Query(s, t int32) (float64, error) { return o.flat.Query(s, t) }
+
+// QueryBatch answers pairs[i] = (s, t) into dst[i]; see
+// FlatOracle.QueryBatch for the allocation and error contract.
+//
+//sealint:hotpath
+func (o *Oracle) QueryBatch(pairs [][2]int32, dst []float64) ([]float64, error) {
+	return o.flat.QueryBatch(pairs, dst)
+}
+
+// QueryMatrix fills dst with the row-major sources×targets distance matrix.
+// Part of the MatrixIndex interface.
+func (o *Oracle) QueryMatrix(sources, targets []int32, dst []float64) ([]float64, error) {
+	return o.flat.QueryMatrix(sources, targets, dst)
+}
+
+// QueryNaive answers through the O(h²) naive method of §3.4 — the SE-Naive
+// baseline.
+//
+//sealint:hotpath
+func (o *Oracle) QueryNaive(s, t int32) (float64, error) { return o.flat.QueryNaive(s, t) }
+
+// QueryPath returns the ε-approximate highway path between POIs s and t.
+// Part of the PathIndex interface.
+func (o *Oracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) {
+	return o.flat.QueryPath(s, t)
+}
 
 // Nearest returns the indexed POI whose x-y projection is closest to
 // (x, y). It errors when the oracle carries no point table.
 func (o *Oracle) Nearest(x, y float64) (int32, terrain.SurfacePoint, float64, error) {
-	return nearestScan(o.pts, nil, x, y)
+	return o.flat.Nearest(x, y)
 }
 
+// NearestK returns up to k POIs ordered by planar distance to (x, y), ties
+// toward the lower id. Part of the NearestKFinder interface.
+func (o *Oracle) NearestK(x, y float64, k int) ([]Neighbor, error) { return o.flat.NearestK(x, y, k) }
+
+// Reachable returns every POI within surface distance d of POI src, in
+// ascending id order. Part of the Reachability interface.
+func (o *Oracle) Reachable(src int32, d float64) ([]Reached, error) { return o.flat.Reachable(src, d) }
+
 // MemoryBytes estimates the oracle's resident size: the compressed tree, the
-// node-pair keys and distances, and the perfect-hash index. This is the
-// "oracle size" measurement of the evaluation.
+// node-pair keys and distances, the point table and the engine's slabs.
+// This is the "oracle size" measurement of the evaluation.
 func (o *Oracle) MemoryBytes() int64 {
 	var b int64
 	b += int64(len(o.tree.nodes)) * 28 // center, layer, parent, radius, children header amortized
@@ -248,24 +271,10 @@ func (o *Oracle) MemoryBytes() int64 {
 	b += int64(len(o.tree.leaf)) * 4
 	b += int64(len(o.keys)) * 8
 	b += int64(len(o.dist)) * 8
-	b += int64(len(o.paths)) * 4
-	b += int64(len(o.pts)) * 32 // point table: Face, Vert int32 + 3 float64 coords
-	b += o.hash.MemoryBytes()
+	f := o.flat
+	b += int64(len(f.pts)) * 32 // point table: Face, Vert int32 + 3 float64 coords
+	b += int64(len(f.leaf) + len(f.paths) + len(f.nodes) + len(f.disp) + len(f.slots))
 	return b
-}
-
-// lookup returns the distance associated with the node pair (a, b), if it is
-// in the node pair set. It fuses the hash probe with the distance fetch
-// through the single-return perfecthash.Index, so the hot path is two table
-// loads plus one distance load with no tuple-return shuffling.
-//
-//sealint:hotpath
-func (o *Oracle) lookup(a, b int32) (float64, bool) {
-	idx := o.hash.Index(packPair(a, b))
-	if idx < 0 {
-		return 0, false
-	}
-	return o.dist[idx], true
 }
 
 // CheckInvariants validates the oracle's structural properties: the
@@ -295,7 +304,7 @@ func (o *Oracle) CheckInvariants() error {
 		}
 	}
 	// Well-separation of every stored pair.
-	sep := 2/o.eps + 2
+	sep := 2/o.flat.eps + 2
 	for i, key := range o.keys {
 		a := int32(key >> 32)
 		b := int32(key & 0xffffffff)
@@ -305,32 +314,5 @@ func (o *Oracle) CheckInvariants() error {
 		}
 	}
 	// Unique node-pair match (Theorem 1) for a grid of POI pairs.
-	step := o.npoi/17 + 1
-	for s := 0; s < o.npoi; s += step {
-		for t := 0; t < o.npoi; t += step {
-			if cnt := o.countMatches(int32(s), int32(t)); cnt != 1 {
-				return fmt.Errorf("POIs (%d,%d) matched by %d node pairs, want exactly 1", s, t, cnt)
-			}
-		}
-	}
-	return nil
-}
-
-// countMatches counts node pairs containing (s, t) — Theorem 1 says exactly
-// one exists.
-func (o *Oracle) countMatches(s, t int32) int {
-	as := o.pathOf(s)
-	at := o.pathOf(t)
-	cnt := 0
-	for _, a := range as {
-		for _, b := range at {
-			if a < 0 || b < 0 {
-				continue
-			}
-			if _, ok := o.lookup(a, b); ok {
-				cnt++
-			}
-		}
-	}
-	return cnt
+	return o.flat.CheckInvariants()
 }

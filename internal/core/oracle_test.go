@@ -287,8 +287,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// Corrupt the body's tree height (offset 40: the 12-byte envelope
 	// header, the 12-byte oracle section header, then eps and npoi precede
 	// it) and re-seal the footer CRC, so the body decoder sees the value:
-	// the O(npoi·height) path slab makes decoding itself pay for the
-	// height, so an implausible value must be rejected, not allocated.
+	// the engine's O(npoi·height) paths slab makes decoding itself pay for
+	// the height, so an implausible value must be rejected, not allocated.
 	for _, h := range []uint64{1 << 60, 1 << 33, ^uint64(0)} {
 		bad := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint64(bad[40:], h)
@@ -297,6 +297,16 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "tree height") {
 			t.Errorf("height %#x: %v, want the tree-height bound", h, err)
 		}
+	}
+	// A pair key naming a node outside the tree must be rejected: the
+	// engine re-bases keys to bits(nNodes)-wide ids, where it could alias
+	// a valid pair.
+	k := o.keys[0]
+	o.keys[0] = uint64(len(o.tree.nodes))<<32 | k&0xffffffff
+	bad := encodeIndex(t, o)
+	o.keys[0] = k
+	if _, _, err := Load(bytes.NewReader(bad), LoadOptions{}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("out-of-range pair key: %v, want a rejection", err)
 	}
 }
 

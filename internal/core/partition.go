@@ -2,7 +2,7 @@
 // Space-Efficient distance oracle (SE). The oracle is built from a partition
 // tree over the POIs (§3.2), compressed (§3.2), decomposed into a
 // well-separated node-pair set (§3.3) whose distances are resolved through
-// enhanced edges (§3.5), and indexed with an FKS perfect hash for O(h)
+// enhanced edges (§3.5), and indexed with a compact perfect hash for O(h)
 // queries (§3.4).
 package core
 

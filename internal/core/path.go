@@ -15,7 +15,8 @@ import (
 // O''s chain to t. Every hop is an exact geodesic segment (computed by the
 // engine's PathTo and cached), so the reported length is the true length of
 // the reported polyline — within the oracle's ε slack of Query's scalar,
-// which only measures the pair hop.
+// which only measures the pair hop. FlatOracle.QueryPath (flat.go) stitches
+// it for the se and flat layouts alike.
 
 // pathSeg is one cached center-to-center geodesic hop. The polyline is
 // stored source→target in canonical (lower id → higher id) direction and
@@ -37,155 +38,11 @@ const pathSegCacheCap = 1 << 14
 // from.
 var ErrNoPathGeometry = fmt.Errorf("core: index carries no terrain mesh; path queries unavailable (rebuild to embed it)")
 
-// pathEngine returns the oracle's path-capable geodesic engine, building it
-// from the retained mesh on first use.
-func (o *Oracle) pathEngine() (geodesic.PathEngine, error) {
-	o.pathMu.Lock()
-	defer o.pathMu.Unlock()
-	if o.peng == nil {
-		if o.mesh == nil {
-			return nil, ErrNoPathGeometry
-		}
-		o.peng = geodesic.NewExact(o.mesh)
-	}
-	return o.peng, nil
-}
-
-// Mesh returns the terrain the oracle retains for path queries, or nil for
-// distance-only oracles (containers without a mesh, mesh-less engines).
-func (o *Oracle) Mesh() *terrain.Mesh { return o.mesh }
-
-// QueryPath returns the ε-approximate highway path between POIs s and t:
-// the polyline runs s → (center chain of the matched node O) → (pair
-// geodesic) → (center chain of O', reversed) → t, and the returned distance
-// is the polyline's exact summed length. Safe for concurrent use; hop
-// geodesics are cached across calls under an internal lock.
-func (o *Oracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) {
-	if err := o.checkIDs(s, t); err != nil {
-		return nil, 0, err
-	}
-	if o.pts == nil {
-		return nil, 0, fmt.Errorf("core: oracle carries no point table: %w", ErrNoPathGeometry)
-	}
-	if s == t {
-		p := o.pts[s]
-		return []terrain.SurfacePoint{p, p}, 0, nil
-	}
-	_, na, nb, err := o.queryPair(s, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	eng, err := o.pathEngine()
-	if err != nil {
-		return nil, 0, err
-	}
-	seq, err := o.centerSequence(s, t, na, nb)
-	if err != nil {
-		return nil, 0, err
-	}
-	var path []terrain.SurfacePoint
-	total := 0.0
-	for i := 1; i < len(seq); i++ {
-		seg, segLen, err := o.hopSegment(eng, seq[i-1], seq[i])
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(path) == 0 {
-			path = append(path, seg...)
-		} else {
-			// The hop starts exactly where the previous one ended (the
-			// shared center's surface point).
-			path = append(path, seg[1:]...)
-		}
-		total += segLen
-	}
-	return path, total, nil
-}
-
-// centerSequence builds the POI id sequence of the highway path: s's center
-// chain up to node na, then nb's chain down to t, with coincident
-// neighbors collapsed (the leaf's center is the POI itself, and a matched
-// node's center can equal the query POI).
-func (o *Oracle) centerSequence(s, t, na, nb int32) ([]int32, error) {
-	seq := make([]int32, 0, 2*o.layerN)
-	seq, err := o.appendCenterChain(seq, s, na)
-	if err != nil {
-		return nil, err
-	}
-	down, err := o.appendCenterChain(nil, t, nb)
-	if err != nil {
-		return nil, err
-	}
-	for i := len(down) - 1; i >= 0; i-- {
-		seq = appendPOI(seq, down[i])
-	}
-	if len(seq) < 2 {
-		return nil, fmt.Errorf("core: degenerate center sequence for POIs (%d,%d)", s, t)
-	}
-	return seq, nil
-}
-
-// appendCenterChain appends the centers on POI p's leaf-to-node path
-// (starting with p itself, ending with node's center, consecutive
-// duplicates collapsed). node must be an ancestor of p's leaf — queryPair
-// guarantees it for matched pairs.
-func (o *Oracle) appendCenterChain(seq []int32, p, node int32) ([]int32, error) {
-	seq = appendPOI(seq, p)
-	for n := o.tree.leaf[p]; ; n = o.tree.nodes[n].parent {
-		if n < 0 {
-			return nil, fmt.Errorf("core: node %d is not an ancestor of POI %d's leaf; oracle corrupt", node, p)
-		}
-		seq = appendPOI(seq, o.tree.nodes[n].center)
-		if n == node {
-			return seq, nil
-		}
-	}
-}
-
 func appendPOI(seq []int32, p int32) []int32 {
 	if n := len(seq); n > 0 && seq[n-1] == p {
 		return seq
 	}
 	return append(seq, p)
-}
-
-// hopSegment returns the geodesic polyline between POIs u and v and its
-// length, serving and filling the canonical-direction cache. The returned
-// slice is oriented u → v and safe for the caller to copy from (reversed
-// hops are rebuilt from the cached canonical polyline; reversal preserves
-// the length).
-func (o *Oracle) hopSegment(eng geodesic.PathEngine, u, v int32) ([]terrain.SurfacePoint, float64, error) {
-	lo, hi := u, v
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	key := packPair(lo, hi)
-	o.pathMu.Lock()
-	seg, ok := o.segCache[key]
-	o.pathMu.Unlock()
-	if !ok {
-		pts, length, err := eng.PathTo(o.pts[lo], o.pts[hi])
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: geodesic hop %d→%d: %w", u, v, err)
-		}
-		seg = pathSeg{pts: pts, length: length}
-		o.pathMu.Lock()
-		if o.segCache == nil {
-			o.segCache = make(map[uint64]pathSeg)
-		}
-		if len(o.segCache) < pathSegCacheCap {
-			o.segCache[key] = seg
-		}
-		o.pathMu.Unlock()
-	}
-	if u == lo {
-		return seg.pts, seg.length, nil
-	}
-	rev := make([]terrain.SurfacePoint, len(seg.pts))
-	for i, p := range seg.pts {
-		rev[len(rev)-1-i] = p
-	}
-	return rev, seg.length, nil
 }
 
 func segLength(pts []terrain.SurfacePoint) float64 {

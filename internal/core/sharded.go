@@ -349,11 +349,11 @@ func (sh *ShardedIndex) manifestSection() section {
 // mixing terrains keeps each member's own embedded mesh.
 func (sh *ShardedIndex) sharedMesh() *terrain.Mesh {
 	for _, m := range sh.members {
-		if o, ok := m.Index.(*Oracle); ok && o.mesh != nil {
-			return o.mesh
+		if o, ok := m.Index.(*Oracle); ok && o.Mesh() != nil {
+			return o.Mesh()
 		}
-		if f, ok := m.Index.(*FlatOracle); ok && f.adopted != nil {
-			return f.adopted
+		if f, ok := m.Index.(*FlatOracle); ok && f.meshC == nil && f.mesh != nil {
+			return f.mesh
 		}
 	}
 	return nil
@@ -403,7 +403,7 @@ func (sh *ShardedIndex) EncodeTo(w io.Writer) error {
 		}
 		var buf bytes.Buffer
 		var err error
-		if o, ok := m.Index.(*Oracle); ok && o.mesh == shared {
+		if o, ok := m.Index.(*Oracle); ok && o.Mesh() == shared {
 			err = o.encodeContainer(&buf, nil) // mesh hoisted into the shared section
 		} else {
 			err = m.Index.EncodeTo(&buf)
@@ -601,9 +601,9 @@ func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceInd
 			quarantine(err)
 			continue
 		}
-		if o, ok := idx.(*Oracle); ok && o.mesh == nil && shared != nil {
+		if o, ok := idx.(*Oracle); ok && o.Mesh() == nil && shared != nil {
 			meshErr := error(nil)
-			for j, p := range o.pts {
+			for j, p := range o.Points() {
 				if err := checkMeshPoint(p, shared); err != nil {
 					meshErr = fmt.Errorf("member %q POI %d against the shared mesh: %w", e.name, j, err)
 					break
@@ -616,13 +616,13 @@ func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceInd
 				quarantine(meshErr)
 				continue
 			}
-			o.mesh = shared
+			o.flat.mesh = shared
 		}
 		if fo, ok := idx.(*FlatOracle); ok && fo.meshC == nil && shared != nil {
 			// A mesh-less flat member adopts the shared terrain; its POIs are
 			// validated against it lazily, on the first path query (the flat
 			// layout defers every cold-slab decode).
-			fo.adopted = shared
+			fo.mesh = shared
 		}
 		if expectPts >= 0 {
 			if got := idx.Stats().Points; int64(got) != expectPts {

@@ -159,7 +159,7 @@ func TestNearestKMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NearestK(%v, %d): %v", pr, k, err)
 			}
-			want := bruteNearestK(o.pts, nil, pr[0], pr[1], k)
+			want := bruteNearestK(o.Points(), nil, pr[0], pr[1], k)
 			if !neighborsEqual(got, want) {
 				t.Errorf("NearestK(%v, %d) = %v, want %v", pr, k, got, want)
 			}

@@ -12,6 +12,57 @@ func probeCompact(key, seed uint64, disp []uint16, ns int) int32 {
 	return int32(CompactSlotOf(key, seed, d, ns))
 }
 
+// table is the test-side reader of a compact layout: like the oracle's slot
+// slab it keeps each key inline in its slot (with the key's insertion index
+// as the value), so a probe compares the stored key and non-members miss.
+type table struct {
+	seed uint64
+	disp []uint16
+	keys []uint64 // per slot
+	vals []int32  // per slot; -1 = empty
+}
+
+// newTable builds the compact layout over keys and lays out its slots.
+func newTable(keys []uint64, seed uint64) (*table, error) {
+	disp, slotOf, used, err := BuildCompact(keys, seed)
+	if err != nil {
+		return nil, err
+	}
+	ns := CompactSlots(len(keys))
+	tab := &table{seed: used, disp: disp, keys: make([]uint64, ns), vals: make([]int32, ns)}
+	for i := range tab.vals {
+		tab.vals[i] = -1
+	}
+	for i, s := range slotOf {
+		tab.keys[s], tab.vals[s] = keys[i], int32(i)
+	}
+	return tab, nil
+}
+
+// lookup returns key's insertion index, or ok == false for a non-member.
+func (tab *table) lookup(key uint64) (int32, bool) {
+	s := probeCompact(key, tab.seed, tab.disp, len(tab.keys))
+	if tab.vals[s] < 0 || tab.keys[s] != key {
+		return 0, false
+	}
+	return tab.vals[s], true
+}
+
+// mustTable builds the table and checks every member finds its own index.
+func mustTable(t *testing.T, keys []uint64, seed uint64) *table {
+	t.Helper()
+	tab, err := newTable(keys, seed)
+	if err != nil {
+		t.Fatalf("BuildCompact on %d keys: %v", len(keys), err)
+	}
+	for i, k := range keys {
+		if v, ok := tab.lookup(k); !ok || v != int32(i) {
+			t.Fatalf("lookup(%#x) = %d, %v; want %d, true", k, v, ok, i)
+		}
+	}
+	return tab
+}
+
 func TestCompactRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 5, 64, 900, 10000} {
 		rng := rand.New(rand.NewSource(int64(n) + 7))

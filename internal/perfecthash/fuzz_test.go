@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzLookup drives the flat slot layout with arbitrary key material: build a
+// FuzzLookup drives the compact layout with arbitrary key material: build a
 // table from the fuzzed keys (deduplicated), then check that every member
 // round-trips to its insertion index and that probes for arbitrary derived
-// non-member keys neither panic nor alias onto a wrong member.
+// non-member keys neither panic nor alias onto a member.
 func FuzzLookup(f *testing.F) {
 	f.Add([]byte{}, int64(1))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, int64(2))
@@ -33,30 +33,16 @@ func FuzzLookup(f *testing.F) {
 				break
 			}
 		}
-		tab, err := Build(keys, seed)
-		if err != nil {
-			t.Fatalf("Build on %d deduplicated keys: %v", len(keys), err)
-		}
-		for i, k := range keys {
-			if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-				t.Fatalf("Lookup(%#x) = %d, %v; want %d, true", k, v, ok, i)
-			}
-			if v := tab.Index(k); v != int32(i) {
-				t.Fatalf("Index(%#x) = %d; want %d", k, v, i)
-			}
-		}
+		tab := mustTable(t, keys, uint64(seed))
 		// Derived probes: mutations of member keys plus a fixed battery.
 		// Whatever the table answers must be consistent with membership.
 		probe := func(k uint64) {
-			v, ok := tab.Lookup(k)
+			v, ok := tab.lookup(k)
 			if ok != dedup[k] {
-				t.Fatalf("Lookup(%#x) membership = %v, want %v", k, ok, dedup[k])
+				t.Fatalf("lookup(%#x) membership = %v, want %v", k, ok, dedup[k])
 			}
 			if ok && keys[v] != k {
-				t.Fatalf("Lookup(%#x) points at key %#x", k, keys[v])
-			}
-			if (tab.Index(k) >= 0) != ok {
-				t.Fatalf("Index(%#x) disagrees with Lookup", k)
+				t.Fatalf("lookup(%#x) points at key %#x", k, keys[v])
 			}
 		}
 		for _, k := range keys {

@@ -1,19 +1,14 @@
-// Package perfecthash implements the FKS two-level perfect hashing scheme
-// (Fredman–Komlós–Szemerédi; the paper's reference [7]) for static sets of
-// uint64 keys. The oracle uses it to index its node-pair set: construction
-// is O(n) expected time and space, and lookups are worst-case O(1) with two
-// table probes.
+// Package perfecthash implements the minimal-space perfect hash behind the
+// SE oracle's node-pair set (§3.4: one O(1) probe per candidate pair). The
+// table is a hash-and-displace layout (compact.go): construction is
+// expected O(n) and deterministic in (keys, seed), and a lookup is two hash
+// evaluations plus two loads.
 package perfecthash
 
-import (
-	"fmt"
-	"math/bits"
-	"math/rand"
-)
+import "math/bits"
 
 // mix is a strong 64-bit mixer (splitmix64 finalizer) applied before the
-// universal multiply-shift hash, so that structured keys (packed ID pairs)
-// spread well.
+// range reduction, so that structured keys (packed ID pairs) spread well.
 //
 //sealint:hotpath
 func mix(x uint64) uint64 {
@@ -41,150 +36,3 @@ func hash(key, mult uint64, mod int) int {
 	hi, _ := bits.Mul64(z, uint64(mod))
 	return int(hi)
 }
-
-type bucket struct {
-	mult  uint64
-	start int32 // offset into the slot array
-	size  int32 // number of slots (count^2)
-}
-
-// slot is one second-level entry. Key and value live side by side so a probe
-// touches a single cache line: the old split slotKey/slotVal arrays cost two
-// dependent loads from different allocations per lookup.
-type slot struct {
-	key uint64
-	val int32 // dense index of the key, or -1 for an empty slot
-}
-
-// Table is an immutable perfect-hash table mapping uint64 keys to the dense
-// indices 0..N-1 in insertion order.
-type Table struct {
-	topMult uint64
-	buckets []bucket
-	slots   []slot
-	n       int
-}
-
-// Build constructs a perfect hash over keys. The value returned by Lookup
-// for keys[i] is i. Build fails on duplicate keys. seed makes construction
-// deterministic.
-func Build(keys []uint64, seed int64) (*Table, error) {
-	n := len(keys)
-	t := &Table{n: n}
-	if n == 0 {
-		t.buckets = make([]bucket, 1)
-		return t, nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-
-	// First level: find a multiplier whose bucket sizes keep the total
-	// second-level space linear (sum of squares <= 4n is achievable in O(1)
-	// expected tries for a universal family).
-	m := n
-	var byBucket [][]int32
-	for try := 0; ; try++ {
-		if try > 64 {
-			return nil, fmt.Errorf("perfecthash: could not find a first-level function (duplicate keys?)")
-		}
-		t.topMult = rng.Uint64()
-		byBucket = make([][]int32, m)
-		for i, k := range keys {
-			b := hash(k, t.topMult, m)
-			byBucket[b] = append(byBucket[b], int32(i))
-		}
-		total := 0
-		for _, b := range byBucket {
-			total += len(b) * len(b)
-		}
-		if total <= 4*n {
-			break
-		}
-	}
-
-	// Second level: per-bucket collision-free tables of quadratic size.
-	t.buckets = make([]bucket, m)
-	for b, ids := range byBucket {
-		cnt := len(ids)
-		if cnt == 0 {
-			continue
-		}
-		size := cnt * cnt
-		start := len(t.slots)
-		for i := 0; i < size; i++ {
-			t.slots = append(t.slots, slot{val: -1})
-		}
-		for try := 0; ; try++ {
-			if try > 1024 {
-				return nil, fmt.Errorf("perfecthash: bucket %d unresolvable (duplicate keys?)", b)
-			}
-			mult := rng.Uint64()
-			ok := true
-			for i := start; i < start+size; i++ {
-				t.slots[i] = slot{val: -1}
-			}
-			for _, id := range ids {
-				s := start + hash(keys[id], mult, size)
-				if t.slots[s].val >= 0 {
-					ok = false
-					break
-				}
-				t.slots[s] = slot{key: keys[id], val: id}
-			}
-			if ok {
-				t.buckets[b] = bucket{mult: mult, start: int32(start), size: int32(size)}
-				break
-			}
-		}
-	}
-
-	// Duplicate detection: every key must look itself up.
-	for i, k := range keys {
-		if v, ok := t.Lookup(k); !ok || v != int32(i) {
-			return nil, fmt.Errorf("perfecthash: duplicate key %#x", k)
-		}
-	}
-	return t, nil
-}
-
-// Index returns the dense index of key, or -1 when the key is not in the
-// table. This is the hot probe: one bucket-header load, one slot load. Empty
-// slots carry val == -1 and key == 0, so a key-0 probe that lands on an empty
-// slot still reports a miss through the stored -1.
-//
-//sealint:hotpath
-func (t *Table) Index(key uint64) int32 {
-	b := t.buckets[hash(key, t.topMult, len(t.buckets))]
-	if b.size == 0 {
-		return -1
-	}
-	s := t.slots[b.start+int32(hash(key, b.mult, int(b.size)))]
-	if s.key != key {
-		return -1
-	}
-	return s.val
-}
-
-// Lookup returns the dense index of key, or ok == false when the key is not
-// in the table.
-//
-//sealint:hotpath
-func (t *Table) Lookup(key uint64) (int32, bool) {
-	idx := t.Index(key)
-	if idx < 0 {
-		return 0, false
-	}
-	return idx, true
-}
-
-// Len returns the number of keys in the table.
-func (t *Table) Len() int { return t.n }
-
-// MemoryBytes estimates the table's resident size; it is the space term the
-// oracle-size accounting charges for the hash index.
-func (t *Table) MemoryBytes() int64 {
-	return int64(len(t.buckets))*16 + int64(len(t.slots))*16 + 16
-}
-
-// Slots returns the number of second-level slots (linear in Len by the FKS
-// guarantee); exposed for the space-bound property tests.
-func (t *Table) Slots() int { return len(t.slots) }

@@ -7,28 +7,19 @@ import (
 )
 
 func TestEmpty(t *testing.T) {
-	tab, err := Build(nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tab.Lookup(42); ok {
+	tab := mustTable(t, nil, 1)
+	if _, ok := tab.lookup(42); ok {
 		t.Error("lookup in empty table succeeded")
 	}
-	if tab.Len() != 0 {
-		t.Errorf("Len = %d", tab.Len())
+	if _, ok := tab.lookup(0); ok {
+		t.Error("key-0 lookup in empty table succeeded")
 	}
 }
 
 func TestSingle(t *testing.T) {
-	tab, err := Build([]uint64{7}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := tab.Lookup(7); !ok || v != 0 {
-		t.Errorf("Lookup(7) = %d, %v", v, ok)
-	}
-	if _, ok := tab.Lookup(8); ok {
-		t.Error("Lookup(8) should miss")
+	tab := mustTable(t, []uint64{7}, 1)
+	if _, ok := tab.lookup(8); ok {
+		t.Error("lookup(8) should miss")
 	}
 }
 
@@ -37,18 +28,10 @@ func TestSequentialKeys(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
-	tab, err := Build(keys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-			t.Fatalf("Lookup(%d) = %d, %v", k, v, ok)
-		}
-	}
+	tab := mustTable(t, keys, 2)
 	for k := uint64(1000); k < 2000; k++ {
-		if _, ok := tab.Lookup(k); ok {
-			t.Fatalf("Lookup(%d) should miss", k)
+		if _, ok := tab.lookup(k); ok {
+			t.Fatalf("lookup(%d) should miss", k)
 		}
 	}
 }
@@ -62,27 +45,20 @@ func TestPackedPairKeys(t *testing.T) {
 			keys = append(keys, a<<32|b)
 		}
 	}
-	tab, err := Build(keys, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-			t.Fatalf("Lookup(%#x) = %d, %v", k, v, ok)
-		}
-	}
-	if _, ok := tab.Lookup(uint64(51) << 32); ok {
+	tab := mustTable(t, keys, 3)
+	if _, ok := tab.lookup(uint64(51) << 32); ok {
 		t.Error("miss expected")
 	}
 }
 
 func TestDuplicateKeysRejected(t *testing.T) {
-	if _, err := Build([]uint64{1, 2, 3, 2}, 4); err == nil {
+	if _, _, _, err := BuildCompact([]uint64{1, 2, 3, 2}, 4); err == nil {
 		t.Error("expected error on duplicate keys")
 	}
 }
 
-// FKS guarantee: total second-level space stays linear.
+// Space guarantee on built tables: CompactSlots(n) slots, each member on its
+// own slot.
 func TestLinearSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{10, 100, 1000, 20000} {
@@ -98,21 +74,18 @@ func TestLinearSpace(t *testing.T) {
 				}
 			}
 		}
-		tab, err := Build(keys, int64(n))
-		if err != nil {
-			t.Fatal(err)
+		tab := mustTable(t, keys, uint64(n))
+		if float64(len(tab.keys)) > 1.07*float64(n)+1 {
+			t.Errorf("n=%d: %d slots exceeds 1.07n", n, len(tab.keys))
 		}
-		if tab.Slots() > 4*n {
-			t.Errorf("n=%d: %d slots exceeds 4n", n, tab.Slots())
-		}
-		if tab.MemoryBytes() <= 0 {
-			t.Error("MemoryBytes must be positive")
+		if len(tab.disp) != CompactBuckets(n) {
+			t.Errorf("n=%d: %d displacements, want %d", n, len(tab.disp), CompactBuckets(n))
 		}
 	}
 }
 
 // Property: for random key sets, every key is found with its index and
-// perturbed keys miss.
+// random probes never alias onto a member.
 func TestLookupProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -126,18 +99,18 @@ func TestLookupProperty(t *testing.T) {
 				keys = append(keys, k)
 			}
 		}
-		tab, err := Build(keys, seed)
+		tab, err := newTable(keys, uint64(seed))
 		if err != nil {
 			return false
 		}
 		for i, k := range keys {
-			if v, ok := tab.Lookup(k); !ok || v != int32(i) {
+			if v, ok := tab.lookup(k); !ok || v != int32(i) {
 				return false
 			}
 		}
 		for i := 0; i < 50; i++ {
 			k := rng.Uint64()
-			if v, ok := tab.Lookup(k); ok && (int(v) >= len(keys) || keys[v] != k) {
+			if v, ok := tab.lookup(k); ok && keys[v] != k {
 				return false
 			}
 		}

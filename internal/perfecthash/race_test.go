@@ -6,24 +6,15 @@ import (
 )
 
 // TestConcurrentProbes pins the sharing contract the sharded index relies
-// on: a built FKS table and a built compact layout are immutable, so any
-// number of goroutines may probe them concurrently without synchronization.
-// The test is exercised under the race detector by `make race`.
+// on: a built compact layout is immutable, so any number of goroutines may
+// probe it concurrently without synchronization. The test is exercised
+// under the race detector by `make race`.
 func TestConcurrentProbes(t *testing.T) {
 	keys := make([]uint64, 2048)
 	for i := range keys {
 		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
 	}
-	tab, err := Build(keys, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disp, slotOf, seed, err := BuildCompact(keys, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb := CompactBuckets(len(keys))
-	ns := CompactSlots(len(keys))
+	tab := mustTable(t, keys, 42)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -31,13 +22,12 @@ func TestConcurrentProbes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, k := range keys {
-				if v := tab.Index(k); v != int32(i) {
-					t.Errorf("Index(%#x) = %d, want %d", k, v, i)
+				if v, ok := tab.lookup(k); !ok || v != int32(i) {
+					t.Errorf("lookup(%#x) = %d, %v; want %d", k, v, ok, i)
 					return
 				}
-				b := CompactBucketOf(k, seed, nb)
-				if s := CompactSlotOf(k, seed, disp[b], ns); slotOf[i] != int32(s) {
-					t.Errorf("compact probe of %#x landed on slot %d, want %d", k, s, slotOf[i])
+				if v, ok := tab.lookup(^k); ok && keys[v] != ^k {
+					t.Errorf("lookup(%#x) aliased onto member %#x", ^k, keys[v])
 					return
 				}
 			}

@@ -3,22 +3,13 @@ package perfecthash
 import "testing"
 
 // Regression: keys whose mixed values differ by a multiple of a large power
-// of two must still be separable by the second-level hash family. An
-// earlier multiply-shift family kept only low product bits, making such key
-// pairs collide under every multiplier (observed with real oracle pair keys
+// of two must still be separable by the slot hash family. An earlier
+// multiply-shift family kept only low product bits, making such key pairs
+// collide under every multiplier (observed with real oracle pair keys
 // 0x19c0000020c and 0x2e000000427, whose mixes differ by a multiple of
 // 2^19).
 func TestStructuredDifferenceKeys(t *testing.T) {
-	keys := []uint64{0x19c0000020c, 0x2e000000427}
-	tab, err := Build(keys, 2)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	for i, k := range keys {
-		if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-			t.Errorf("Lookup(%#x) = %d, %v", k, v, ok)
-		}
-	}
+	mustTable(t, []uint64{0x19c0000020c, 0x2e000000427}, 2)
 }
 
 // The same property must hold for adversarial batches: many keys at
@@ -29,14 +20,6 @@ func TestStridedKeys(t *testing.T) {
 		for i := range keys {
 			keys[i] = uint64(i) * stride
 		}
-		tab, err := Build(keys, 3)
-		if err != nil {
-			t.Fatalf("stride %#x: %v", stride, err)
-		}
-		for i, k := range keys {
-			if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-				t.Fatalf("stride %#x: Lookup(%#x) = %d, %v", stride, k, v, ok)
-			}
-		}
+		mustTable(t, keys, 3)
 	}
 }

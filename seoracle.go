@@ -9,8 +9,8 @@
 // linear in the number of POIs — independent of the terrain size. It also
 // ships the substrates the paper builds on: an exact geodesic
 // single-source-all-destinations (SSAD) engine in the continuous-Dijkstra
-// (MMP) paradigm, Steiner-graph approximations, an FKS perfect hash and a
-// B+-tree, plus the baselines the paper compares against.
+// (MMP) paradigm, Steiner-graph approximations, a compact perfect hash and
+// a B+-tree, plus the baselines the paper compares against.
 //
 // Basic usage:
 //
