@@ -60,8 +60,9 @@ type BuildStats struct {
 // flat, its query engine: the hot slabs of the flat layout, laid out once by
 // Build or the decoder, with the point table and mesh attached in memory.
 // A built (or decoded) Oracle is immutable, so one Oracle may be shared
-// freely across goroutines without external locking. (QueryPath's
-// geodesic-segment cache is the one internally synchronized exception.)
+// freely across goroutines without external locking. (The geodesic-segment
+// cache that path queries fill lives on the *FlatOracle engine and is the
+// one internally synchronized exception.)
 type Oracle struct {
 	tree  *ctree
 	keys  []uint64 // pair keys, aligned with dist

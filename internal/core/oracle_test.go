@@ -150,9 +150,9 @@ func TestNaiveConstructionMatches(t *testing.T) {
 			}
 		}
 	}
-	// The efficient construction must not use more SSAD calls than pairs
-	// considered + tree nodes (it calls SSAD once per tree node, not per
-	// pair).
+	// The efficient construction must not use more SSAD calls than the
+	// naive one: it calls SSAD once per tree node and once per center, not
+	// once per pair (TestBuildSSADCount pins the exact bound).
 	if fast.BuildStats().SSADCalls > naive.BuildStats().SSADCalls {
 		t.Errorf("efficient used %d SSADs, naive %d", fast.BuildStats().SSADCalls, naive.BuildStats().SSADCalls)
 	}

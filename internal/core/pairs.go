@@ -13,66 +13,88 @@ func packPair(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(
 
 // enhancedEdges computes, for every node O of the original partition tree,
 // the geodesic distances to all same-layer nodes O' with
-// dg(cO, cO') <= l*rO, l = 8/ε + 10 (§3.5, Step 2). One SSAD per tree node.
-// The result maps packPair(origID, origID') -> distance, in both directions.
+// dg(cO, cO') <= l*rO, l = 8/ε + 10 (§3.5, Step 2). One SSAD per distinct
+// center on the layers below the root. The result maps
+// packPair(origID, origID') -> distance, in both directions.
 //
-// The per-node SSADs within a layer are independent, so they fan out across
-// the worker pool; the results land in an index-addressed slice and are
-// merged into the map on the calling goroutine in node-id order — the same
-// insertion (and overwrite) order as a sequential pass, so the index is
-// identical for every worker count.
+// A center stays a center on every deeper layer, so one SSAD serves all of
+// its nodes: it is bounded by the center's largest reach, that of its
+// shallowest layer (rᵢ = r0/2ⁱ), and targets every POI. A target's distance
+// within a radius does not depend on a larger radius or on the other
+// targets, so each node reads its center's row filtered by its own reach
+// and gets the bits a per-node SSAD would.
+//
+// The SSADs fan out across the worker pool. Each worker trims its dense
+// row before taking the next center, keeping POI p at distance d only if
+// some layer's merge can read it: d within the reach of the shallowest
+// layer on which p and the center are both centers. So the resident rows
+// hold no more entries than the map they feed. The merge runs on the
+// calling goroutine, layer by layer and in node-id order within a layer —
+// the same insertion (and overwrite) order as a per-node pass, so the
+// index is identical for every worker count.
 func enhancedEdges(eng geodesic.Engine, t *ptree, pois []terrain.SurfacePoint, eps float64, workers int) map[uint64]float64 {
 	l := 8/eps + 10
 	edges := make(map[uint64]float64)
-	for layer, ids := range t.layers {
-		if layer == 0 {
-			// The root's enhanced edge is its self-loop; still record it so
-			// pair generation can start from (root, root).
-			for _, id := range ids {
-				edges[packPair(id, id)] = 0
+	// The root's enhanced edge is its self-loop; still record it so pair
+	// generation can start from (root, root).
+	for _, id := range t.layers[0] {
+		edges[packPair(id, id)] = 0
+	}
+	// reach[c] is POI c's largest reach over the layers >= 1 it centers; 0
+	// when it centers none (only in a one-POI tree). centers lists them in
+	// order of first layer, so the widest SSADs are handed out first.
+	reach := make([]float64, len(pois))
+	var centers []int32
+	for _, ids := range t.layers[1:] {
+		for _, id := range ids {
+			nd := t.nodes[id]
+			if reach[nd.center] == 0 {
+				centers = append(centers, nd.center)
 			}
-			continue
+			reach[nd.center] = math.Max(reach[nd.center], l*nd.radius*(1+1e-9))
 		}
-		// Per-layer target list: the centers of every node in the layer.
-		targets := make([]terrain.SurfacePoint, len(ids))
-		for i, id := range ids {
-			targets[i] = pois[t.nodes[id].center]
-		}
-		// Process the layer in bounded chunks: buffering every node's full
-		// result at once would hold len(ids)^2 floats (quadratic in the POI
-		// count on the leaf layer), while a chunk caps the resident results
-		// at chunk*len(ids) without changing the merge order.
-		chunk := 4 * workers
-		if chunk < 16 {
-			chunk = 16
-		}
-		dists := make([][]float64, chunk)
-		reaches := make([]float64, chunk)
-		for lo := 0; lo < len(ids); lo += chunk {
-			hi := lo + chunk
-			if hi > len(ids) {
-				hi = len(ids)
+	}
+	rows := make([][]rowEntry, len(pois))
+	parfor(workers, len(centers), func(k int) {
+		c := centers[k]
+		d := eng.DistancesTo(pois[c], pois, geodesic.Stop{Radius: reach[c]})
+		var row []rowEntry
+		for p, x := range d {
+			if x <= math.Min(reach[c], reach[p]) {
+				row = append(row, rowEntry{poi: int32(p), d: x})
 			}
-			parfor(workers, hi-lo, func(k int) {
-				id := ids[lo+k]
-				reaches[k] = l * t.nodes[id].radius * (1 + 1e-9)
-				dists[k] = eng.DistancesTo(pois[t.nodes[id].center], targets, geodesic.Stop{Radius: reaches[k]})
-			})
-			for k := 0; k < hi-lo; k++ {
-				id := ids[lo+k]
-				d := dists[k]
-				dists[k] = nil
-				for i, other := range ids {
-					if math.IsInf(d[i], 1) || d[i] > reaches[k] {
-						continue
-					}
-					edges[packPair(id, other)] = d[i]
-					edges[packPair(other, id)] = d[i]
+		}
+		rows[c] = row
+	})
+	node := make([]int32, len(pois)) // POI -> its node on the current layer, or -1
+	for i := range node {
+		node[i] = -1
+	}
+	for _, ids := range t.layers[1:] {
+		for _, id := range ids {
+			node[t.nodes[id].center] = id
+		}
+		for _, id := range ids {
+			r := l * t.nodes[id].radius * (1 + 1e-9)
+			for _, e := range rows[t.nodes[id].center] {
+				if other := node[e.poi]; other >= 0 && e.d <= r {
+					edges[packPair(id, other)] = e.d
+					edges[packPair(other, id)] = e.d
 				}
 			}
 		}
+		for _, id := range ids {
+			node[t.nodes[id].center] = -1
+		}
 	}
 	return edges
+}
+
+// rowEntry is one kept entry of a center's enhanced-edge SSAD row: a POI
+// and its geodesic distance from the center.
+type rowEntry struct {
+	poi int32
+	d   float64
 }
 
 // pairResolver finds dg(cO, cO') for compressed node pairs through the

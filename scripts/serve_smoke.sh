@@ -5,7 +5,8 @@
 #   1. generate a small terrain + POI set (terraingen)
 #   2. build and serialize an SE index (sebuild -kind=se), an A2A index
 #      (sebuild -kind=a2a), a 2-shard multi container (sebuild -shards=2)
-#      and a 4-shard 2-level LOD hierarchy (sebuild -shards=4 -lod=2)
+#      and a 4-shard 2-level LOD hierarchy (sebuild -shards=4 -lod=2); build
+#      the se and LOD containers again with another -workers and cmp them
 #   3. answer a query offline with sequery
 #   4. start seserve on the same container, hit /healthz, /v1/query,
 #      /v1/path, /v1/nearest (single and k=3), /v1/matrix, /v1/isochrone
@@ -56,10 +57,21 @@ curl_json() { curl -fsS "$1"; }
 # field FILE KEY -> numeric value of "key": extracted without jq.
 field() { awk -v k="\"$2\":" 'BEGIN{RS=","} index($0,k){sub(/.*:/,""); gsub(/[^0-9.eE+-]/,""); print; exit}' "$1"; }
 
+# same_across_workers OUT ARGS... rebuilds $TMP/OUT (built with -workers 4)
+# sequentially from the same ARGS and fails unless the two files are
+# byte-identical: the build's output must not depend on the worker count.
+same_across_workers() {
+    out="$1"; shift
+    "$TMP/sebuild" "$@" -out "$TMP/w1-$out" -workers 1 >/dev/null
+    cmp "$TMP/$out" "$TMP/w1-$out" || { say "$out differs between -workers 4 and -workers 1"; exit 1; }
+    say "$out is byte-identical at -workers 4 and 1"
+}
+
 # --- SE kind ----------------------------------------------------------------
 say "building se index"
 "$TMP/sebuild" -kind=se -terrain "$TMP/terrain.off" -pois "$TMP/pois.txt" \
-    -out "$TMP/se.sedx" -eps 0.2 -seed 7 -check
+    -out "$TMP/se.sedx" -eps 0.2 -seed 7 -check -workers 4
+same_across_workers se.sedx -kind=se -terrain "$TMP/terrain.off" -pois "$TMP/pois.txt" -eps 0.2 -seed 7
 
 WANT_SE="$("$TMP/sequery" -oracle "$TMP/se.sedx" -s 0 -t 5 | awk -F'= ' '{print $2}' | awk '{print $1}')"
 [ -n "$WANT_SE" ] || { say "sequery produced no SE answer"; exit 1; }
@@ -220,7 +232,8 @@ SERVER_PID=""
 # --- 2-level LOD hierarchy under a memory budget ----------------------------
 say "building 4-shard 2-level LOD index"
 "$TMP/sebuild" -kind=se -shards=4 -lod=2 -terrain "$TMP/terrain.off" -pois "$TMP/pois.txt" \
-    -out "$TMP/lod.sedx" -eps 0.2 -seed 7
+    -out "$TMP/lod.sedx" -eps 0.2 -seed 7 -workers 4
+same_across_workers lod.sedx -kind=se -shards=4 -lod=2 -terrain "$TMP/terrain.off" -pois "$TMP/pois.txt" -eps 0.2 -seed 7
 
 # Global-id queries need no member name on a hierarchical container; pick a
 # pair that straddles tiles (id 0 lives in the first fine tile, the last id
