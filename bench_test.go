@@ -272,6 +272,7 @@ func BenchmarkFig8_QueryKAlgo(b *testing.B) {
 func BenchmarkFig8_SizeSE(b *testing.B) {
 	w := world(b, "sf-small", exp.SFSmall)
 	o := buildSE(b, w, 0.1, core.SelectRandom)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(float64(o.MemoryBytes()), "bytes")
 	}

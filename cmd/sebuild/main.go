@@ -28,10 +28,11 @@
 // The result is one hierarchical multi container with a global id space
 // (see seserve -mem-budget for serving it larger than RAM).
 //
-// -layout=flat (se kind, sharded or not) re-lays the built index into the
-// zero-parse flat container: seserve then queries it straight from the
-// memory-mapped file with O(1) cold start (see seconvert to upgrade
-// already-written containers).
+// -layout=flat (se kind) re-lays a single SE oracle into the zero-parse
+// flat container: seserve then queries it straight from the memory-mapped
+// file with O(1) cold start (see seconvert to upgrade already-written
+// containers). A -shards container needs no flag: its SE tiles are always
+// written flat.
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 		shards       = flag.Int("shards", 1, "se: tile the terrain into this many shards and write a multi container")
 		lod          = flag.Int("lod", 0, "se sharded: total LOD levels including the fine grid (0 or 1 = flat grid; 2+ adds coarse members and boundary portals)")
 		portalsEdge  = flag.Int("portals-per-edge", 0, "se sharded with -lod: boundary portals per shared tile edge (0 = default)")
-		layout       = flag.String("layout", "", "container layout: \"\" (decoded sections) or \"flat\" (zero-parse mmap layout; se kind)")
+		layout       = flag.String("layout", "", "single se container layout: \"\" (decoded sections) or \"flat\" (zero-parse mmap layout); -shards tiles are always flat")
 	)
 	flag.Parse()
 
@@ -126,7 +127,7 @@ func main() {
 				if err != nil {
 					fatal("%v", err)
 				}
-				sum, err := core.WriteSharded(fo, geodesic.NewExact(m), m, readPOIs(), *shards, lodOpt, *layout == "flat")
+				sum, err := core.WriteSharded(fo, geodesic.NewExact(m), m, readPOIs(), *shards, lodOpt)
 				if err != nil {
 					fatal("building sharded oracle: %v", err)
 				}
@@ -190,7 +191,7 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	if *layout == "flat" {
+	if *layout == "flat" && *shards <= 1 {
 		flat, err := core.ConvertFlat(idx)
 		if err != nil {
 			fatal("converting to the flat layout: %v", err)

@@ -45,6 +45,12 @@ import (
 	"seoracle/internal/terrain"
 )
 
+// naiveIndex is an SE engine answering by the O(h²) naive method (-naive):
+// an se oracle, or a flat one such as a multi container's tile.
+type naiveIndex interface {
+	QueryNaive(s, t int32) (float64, error)
+}
+
 func main() {
 	var (
 		oraclePath = flag.String("oracle", "oracle.se", "serialized index container")
@@ -58,7 +64,7 @@ func main() {
 		xy         = flag.Bool("xy", false, "query by planar coordinates (-sx -sy -tx -ty)")
 		path       = flag.Bool("path", false, "report the surface path as a GeoJSON LineString (with -s/-t or -xy)")
 		batch      = flag.Bool("batch", false, "read 's t' id pairs from stdin")
-		naive      = flag.Bool("naive", false, "use the O(h^2) naive query (se kind)")
+		naive      = flag.Bool("naive", false, "use the O(h^2) naive query (se or flat kind)")
 		benchN     = flag.Int("bench", 0, "benchmark: time QueryBatch over this many random pairs")
 		benchSeed  = flag.Int64("bench-seed", 1, "random seed for -bench pair generation")
 		matrix     = flag.Bool("matrix", false, "print the row-major -sources × -targets distance matrix")
@@ -99,9 +105,9 @@ func main() {
 	st := idx.Stats()
 	query := idx.Query
 	if *naive {
-		oracle, ok := idx.(*core.Oracle)
+		oracle, ok := idx.(naiveIndex)
 		if !ok {
-			fatal("-naive needs an se-kind index, this file holds %s", st.Kind)
+			fatal("-naive needs an se or flat index, this file holds %s", st.Kind)
 		}
 		query = oracle.QueryNaive
 	}
@@ -229,9 +235,9 @@ func bench(idx core.DistanceIndex, n int, seed int64, naive bool) {
 		pairs[i] = [2]int32{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]}
 	}
 	dst := make([]float64, len(pairs))
-	var oracle *core.Oracle
+	var oracle naiveIndex
 	if naive {
-		oracle = idx.(*core.Oracle) // checked by the caller
+		oracle = idx.(naiveIndex) // checked by the caller
 	}
 	onePass := func() error {
 		if naive {

@@ -212,8 +212,8 @@ type LoadOptions struct {
 // truncation — is reported ahead of a CRC mismatch. A tolerant load of a
 // multi container accepts a mismatch only when a quarantined member
 // explains it; otherwise the corruption sits in unverified shared state
-// (manifest, shared mesh, a flat member's content) and the load fails
-// rather than serve silently wrong routing.
+// (manifest, hierarchy, shared mesh) and the load fails rather than serve
+// silently wrong routing.
 func Load(r io.Reader, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -248,16 +248,17 @@ func Load(r io.Reader, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
 // an O(n) checksum would re-linearize the O(1) cold start the layout exists
 // for; its header CRC plus structural validation (flat.go) stand in. Other
 // scalar kinds decode every byte anyway, so the footer is verified. A multi
-// container skips the outer footer and applies the same rule member-wise,
-// so flat members stay O(1).
+// container skips the outer footer and verifies member-wise instead: every
+// member, flat included, is checked against its own footer before it first
+// serves — at load, or at its lazy fault under a budget (see loadMember).
 func LoadBytesOpts(data []byte, keep any, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
 	return decodeImage(data, keep, opt)
 }
 
 // decodeImage is the one container decoder: it slices the envelope of an
 // in-memory image, applies the per-kind CRC policy of LoadBytesOpts and
-// dispatches on the kind tag. Multi members come back through it (see
-// loadMember), so the same policy holds member-wise.
+// dispatches on the kind tag. Multi members decode through the same
+// dispatch (see loadMember) after their own CRC check.
 func decodeImage(data []byte, keep any, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
 	kind, secs, err := sliceContainer(data)
 	if err != nil {
@@ -268,8 +269,22 @@ func decodeImage(data []byte, keep any, opt LoadOptions) (DistanceIndex, []Quara
 			return nil, nil, err
 		}
 	}
+	if kind == KindMulti {
+		idx, quarantined, err := decodeMulti(secs, keep, opt)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
+		}
+		return idx, quarantined, nil
+	}
+	idx, err := decodeSections(kind, secs, keep)
+	return idx, nil, err
+}
+
+// decodeSections dispatches a sliced single-index container on its kind
+// tag; the caller has applied its CRC policy.
+func decodeSections(kind Kind, secs map[uint32][]byte, keep any) (DistanceIndex, error) {
 	var idx DistanceIndex
-	var quarantined []Quarantined
+	var err error
 	switch kind {
 	case KindSE:
 		idx, err = decodeSEContainer(secs)
@@ -279,15 +294,13 @@ func decodeImage(data []byte, keep any, opt LoadOptions) (DistanceIndex, []Quara
 		idx, err = decodeDynamicContainer(secs)
 	case KindFlat:
 		idx, err = decodeFlatSecs(secs, keep)
-	case KindMulti:
-		idx, quarantined, err = decodeMulti(secs, keep, opt)
 	default:
-		return nil, nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
+		return nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
+		return nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
 	}
-	return idx, quarantined, nil
+	return idx, nil
 }
 
 // sliceContainer parses the envelope from an in-memory image without copying

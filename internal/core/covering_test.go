@@ -77,9 +77,12 @@ func TestLODCoveringFallback(t *testing.T) {
 
 // TestLODFixtureBytesUnchanged pins the encoded bytes of hierarchical
 // fixtures that built before the covering fallback existed: the fallback
-// only fires where the build used to fail, so these must not move. The
-// digests were taken on amd64; other architectures may fuse floating-point
-// multiply-adds and legitimately produce different distances.
+// only fires where the build used to fail, so these must not move. want is
+// the digest of the se-tile container the legacy writer emits (the bytes
+// these fixtures had before multi containers wrote their tiles flat); flat
+// is the digest of today's flat-tile encoding. The digests were taken on
+// amd64; other architectures may fuse floating-point multiply-adds and
+// legitimately produce different distances.
 func TestLODFixtureBytesUnchanged(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests pinned on amd64, running on %s", runtime.GOARCH)
@@ -89,21 +92,31 @@ func TestLODFixtureBytesUnchanged(t *testing.T) {
 		nx, npoi, shards int
 		pseed            int64
 		want             string
+		flat             string
 	}{
-		{"9x9-40poi-seed1697-4shards", 9, 40, 4, 1697, "abd8c97e53f863aa300db54764fef56fa276969cdab2fa7e1a2bfeefb60791df"},
-		{"11x11-80poi-seed1705-9shards", 11, 80, 9, 1705, "512480efa81ed03e3546ce2da2cd3b388a904aa4dff919ce71824305e12376a1"},
+		{"9x9-40poi-seed1697-4shards", 9, 40, 4, 1697, "abd8c97e53f863aa300db54764fef56fa276969cdab2fa7e1a2bfeefb60791df",
+			"017d4269d418adfebe84c0e99d20bf5ff196cfa54d254b5ccf128fa960d64fd7"},
+		{"11x11-80poi-seed1705-9shards", 11, 80, 9, 1705, "512480efa81ed03e3546ce2da2cd3b388a904aa4dff919ce71824305e12376a1",
+			"31e5ad7c354f732198e407755453e13ec9ad3b9b4f8871ddf0a1475426895a5f"},
+	}
+	digest := func(data []byte) string {
+		sum := sha256.Sum256(data)
+		return hex.EncodeToString(sum[:])
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newSteepWorld(t, tc.nx, tc.npoi, 1701, tc.pseed)
 			opt := LODOptions{Options: Options{Epsilon: 0.25, Seed: 1}, Levels: 2, SitesPerEdge: 1}
+			sh := buildLOD(t, w, tc.shards, opt)
+			if got := digest(encodeLegacy(t, sh)); got != tc.want {
+				t.Errorf("legacy se-tile fixture sha256 = %s, want %s", got, tc.want)
+			}
 			var buf bytes.Buffer
-			if err := buildLOD(t, w, tc.shards, opt).EncodeTo(&buf); err != nil {
+			if err := sh.EncodeTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			sum := sha256.Sum256(buf.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != tc.want {
-				t.Fatalf("encoded fixture sha256 = %s, want %s", got, tc.want)
+			if got := digest(buf.Bytes()); got != tc.flat {
+				t.Errorf("flat-tile fixture sha256 = %s, want %s", got, tc.flat)
 			}
 		})
 	}

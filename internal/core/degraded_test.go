@@ -105,8 +105,8 @@ func TestLoadDegradedQuarantinesCorruptMember(t *testing.T) {
 	if q.Err == nil {
 		t.Error("quarantined member carries no error")
 	}
-	if q.Kind != KindSE {
-		t.Errorf("quarantined member kind %v, want %v", q.Kind, KindSE)
+	if q.Kind != KindFlat {
+		t.Errorf("quarantined member kind %v, want %v", q.Kind, KindFlat)
 	}
 	got, ok := idx.(*ShardedIndex)
 	if !ok {
@@ -121,7 +121,7 @@ func TestLoadDegradedQuarantinesCorruptMember(t *testing.T) {
 		if !ok {
 			t.Fatalf("member %q missing from the original", m.Name)
 		}
-		n := m.Index.(*Oracle).NumPOIs()
+		n := m.Index.Stats().Points
 		if n < 2 {
 			continue
 		}

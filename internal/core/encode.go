@@ -194,9 +194,9 @@ func (o *Oracle) bodySection() section {
 func (o *Oracle) EncodeTo(w io.Writer) error { return o.encodeContainer(w, o.Mesh()) }
 
 // encodeContainer writes the SE container with an explicit mesh choice:
-// EncodeTo passes the oracle's own mesh, while a multi container passes nil
-// for members whose mesh it hoists into one shared section (sharded.go) —
-// the tiles of one terrain would otherwise each embed an identical copy.
+// EncodeTo passes the oracle's own mesh; nil leaves it out, as multi
+// containers did for their se tiles before the tiles were written flat
+// (their shared mesh section holds it once for every tile).
 func (o *Oracle) encodeContainer(w io.Writer, mesh *terrain.Mesh) error {
 	secs := []section{o.bodySection()}
 	if pts := o.Points(); pts != nil {

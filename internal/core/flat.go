@@ -165,8 +165,13 @@ type flatSlab struct {
 // same logical index as EncodeTo, re-laid so FlatOracle can query the bytes
 // in place. The encoding is deterministic, so convert → load → re-encode is
 // byte-identical.
-func (o *Oracle) EncodeFlatTo(w io.Writer) error {
-	body, err := flatBody(o, o.Mesh())
+func (o *Oracle) EncodeFlatTo(w io.Writer) error { return o.encodeFlatContainer(w, o.Mesh()) }
+
+// encodeFlatContainer writes the flat container with an explicit mesh
+// choice: EncodeFlatTo embeds the oracle's own mesh, while a multi container
+// passes nil for members whose mesh it hoists into one shared section.
+func (o *Oracle) encodeFlatContainer(w io.Writer, mesh *terrain.Mesh) error {
+	body, err := flatBody(o, mesh)
 	if err != nil {
 		return err
 	}
@@ -331,64 +336,36 @@ func flatBody(o *Oracle, mesh *terrain.Mesh) ([]byte, error) {
 }
 
 // ConvertFlat re-lays an index into the flat container layout: an SE oracle
-// becomes a FlatOracle, and a multi container of SE oracles becomes a multi
-// of flat members (a shared mesh stays hoisted — members that tiled one
-// terrain adopt it instead of embedding copies). Other kinds, and oracles
-// without a point table, have no flat form and return an error.
+// becomes a FlatOracle, and a multi container becomes the index its own
+// encoding loads back as — EncodeTo writes SE members flat, so a multi of
+// se tiles (say, loaded from a legacy container) comes back with flat
+// members that adopt the shared mesh. Members of a budgeted load re-emit
+// their bytes unchanged. Other kinds, and oracles without a point table,
+// have no flat form and return an error.
 func ConvertFlat(idx DistanceIndex) (DistanceIndex, error) {
 	switch v := idx.(type) {
 	case *FlatOracle:
 		return v, nil
 	case *Oracle:
-		return flatFromOracle(v, v.Mesh(), nil)
+		return flatFromOracle(v)
 	case *ShardedIndex:
-		shared := v.sharedMesh()
-		members := make([]ShardMember, len(v.members))
-		for i, m := range v.members {
-			if v.hier != nil && v.hier.levels[v.ord[i]] != 0 {
-				// Coarse (level > 0) members are site oracles with no flat
-				// form; they ride along unconverted — only the fine tiles
-				// carry the hot id-addressed load the flat layout serves.
-				members[i] = m
-				continue
-			}
-			o, ok := m.Index.(*Oracle)
-			if !ok {
-				if _, flat := m.Index.(*FlatOracle); flat {
-					members[i] = m
-					continue
-				}
-				return nil, fmt.Errorf("core: member %q (kind %s) has no flat layout", m.Name, m.Index.Stats().Kind)
-			}
-			embed, adopted := o.Mesh(), (*terrain.Mesh)(nil)
-			if shared != nil && embed == shared {
-				embed, adopted = nil, shared
-			}
-			f, err := flatFromOracle(o, embed, adopted)
-			if err != nil {
-				return nil, fmt.Errorf("core: converting member %q: %w", m.Name, err)
-			}
-			members[i] = ShardMember{Name: m.Name, BBox: m.BBox, Index: f}
-		}
-		out, err := NewShardedIndex(members)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := v.EncodeTo(&buf); err != nil {
 			return nil, err
 		}
-		// The hierarchy is layout-independent routing metadata; carry it so a
-		// flat-converted hierarchical index keeps its global id space.
-		out.hier, out.ord, out.memAt, out.ordName = v.hier, v.ord, v.memAt, v.ordName
-		return out, nil
+		out, _, err := LoadBytesOpts(buf.Bytes(), nil, LoadOptions{})
+		return out, err
 	default:
-		return nil, fmt.Errorf("core: kind %s has no flat layout (flat supports se and multi-of-se)", idx.Stats().Kind)
+		return nil, fmt.Errorf("core: kind %s has no flat layout (flat supports se and multi)", idx.Stats().Kind)
 	}
 }
 
-// flatFromOracle encodes o's flat body and decodes it back — the in-memory
-// conversion path sebuild -layout=flat and seconvert share with the loader,
-// so a converted index is bit-for-bit what a flat load would produce.
-// adopted, when set, is a shared mesh the body does not embed.
-func flatFromOracle(o *Oracle, mesh, adopted *terrain.Mesh) (*FlatOracle, error) {
-	body, err := flatBody(o, mesh)
+// flatFromOracle encodes o's flat body (embedding o's mesh) and decodes it
+// back — the in-memory conversion path sebuild -layout=flat and seconvert
+// share with the loader, so a converted index is bit-for-bit what a flat
+// load would produce.
+func flatFromOracle(o *Oracle) (*FlatOracle, error) {
+	body, err := flatBody(o, o.Mesh())
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +373,6 @@ func flatFromOracle(o *Oracle, mesh, adopted *terrain.Mesh) (*FlatOracle, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: flat body failed its own validation: %w", err)
 	}
-	f.mesh = adopted
 	return f, nil
 }
 
@@ -462,38 +438,36 @@ func decodeFlatSecs(secs map[uint32][]byte, keep any) (*FlatOracle, error) {
 	return decodeFlatBody(secs[secFlat], keep)
 }
 
-// decodeFlatBody is the O(#slabs) structural validation pass: header magic
-// and CRC, sane header fields, and a slab directory whose entries are
-// in-bounds, 8-aligned, non-overlapping and exactly the lengths the header
-// implies. Everything a query later reads is either covered here or bounds-
-// guarded at access time, so corrupt content yields errors, never faults.
-func decodeFlatBody(body []byte, keep any) (*FlatOracle, error) {
+// decodeFlatHeader validates the fixed part of a flat body — magic, flags,
+// the header CRC and the header fields — and returns an oracle shell holding
+// those fields (no slabs) plus the end offset of the slab directory. It
+// reads O(1) bytes, so a lazy multi load can report a member's shape without
+// faulting it in.
+func decodeFlatHeader(body []byte) (*FlatOracle, int, error) {
 	if len(body) < flatDirOff {
-		return nil, fmt.Errorf("flat body truncated (%d bytes)", len(body))
+		return nil, 0, fmt.Errorf("flat body truncated (%d bytes)", len(body))
 	}
 	if string(body[:4]) != flatBodyMagic {
-		return nil, fmt.Errorf("bad flat body magic %q", body[:4])
+		return nil, 0, fmt.Errorf("bad flat body magic %q", body[:4])
 	}
 	flags := binary.LittleEndian.Uint16(body[4:])
 	if flags&^uint16(flatFlagWide) != 0 {
-		return nil, fmt.Errorf("unknown flat flags %#x", flags)
+		return nil, 0, fmt.Errorf("unknown flat flags %#x", flags)
 	}
 	h := body[flatHeaderOff:]
 	nSlabs := int(binary.LittleEndian.Uint32(h[40:]))
 	if nSlabs < 1 || nSlabs > flatMaxSlabs {
-		return nil, fmt.Errorf("flat body declares %d slabs (want 1..%d)", nSlabs, flatMaxSlabs)
+		return nil, 0, fmt.Errorf("flat body declares %d slabs (want 1..%d)", nSlabs, flatMaxSlabs)
 	}
 	dirEnd := flatDirOff + nSlabs*flatDirEntryLen
 	if len(body) < dirEnd {
-		return nil, fmt.Errorf("flat slab directory truncated (%d bytes, need %d)", len(body), dirEnd)
+		return nil, 0, fmt.Errorf("flat slab directory truncated (%d bytes, need %d)", len(body), dirEnd)
 	}
 	if stored, computed := binary.LittleEndian.Uint32(body[8:]), crc32.ChecksumIEEE(body[flatHeaderOff:dirEnd]); stored != computed {
-		return nil, fmt.Errorf("flat header CRC mismatch (stored %#x, computed %#x)", stored, computed)
+		return nil, 0, fmt.Errorf("flat header CRC mismatch (stored %#x, computed %#x)", stored, computed)
 	}
 
 	f := &FlatOracle{
-		body:     body,
-		keep:     keep,
 		eps:      math.Float64frombits(binary.LittleEndian.Uint64(h[0:])),
 		npoi:     int(binary.LittleEndian.Uint32(h[8:])),
 		layerN:   int(binary.LittleEndian.Uint32(h[12:])),
@@ -508,30 +482,45 @@ func decodeFlatBody(body []byte, keep any) (*FlatOracle, error) {
 		wide:     flags&flatFlagWide != 0,
 	}
 	if !finite(f.eps) || f.eps <= 0 {
-		return nil, fmt.Errorf("flat header epsilon %g not positive and finite", f.eps)
+		return nil, 0, fmt.Errorf("flat header epsilon %g not positive and finite", f.eps)
 	}
 	if !finite(f.r0) || f.r0 < 0 {
-		return nil, fmt.Errorf("flat header r0 %g invalid", f.r0)
+		return nil, 0, fmt.Errorf("flat header r0 %g invalid", f.r0)
 	}
 	if f.npoi < 1 || f.npoi > 1<<30 {
-		return nil, fmt.Errorf("flat header declares %d POIs", f.npoi)
+		return nil, 0, fmt.Errorf("flat header declares %d POIs", f.npoi)
 	}
 	if f.layerN < 1 || f.layerN > maxLayers || f.height != f.layerN-1 {
-		return nil, fmt.Errorf("flat header layers %d / height %d inconsistent", f.layerN, f.height)
+		return nil, 0, fmt.Errorf("flat header layers %d / height %d inconsistent", f.layerN, f.height)
 	}
 	if f.nNodes < 1 || f.nNodes > 1<<30 || f.root < 0 || int(f.root) >= f.nNodes {
-		return nil, fmt.Errorf("flat header declares %d nodes, root %d", f.nNodes, f.root)
+		return nil, 0, fmt.Errorf("flat header declares %d nodes, root %d", f.nNodes, f.root)
 	}
 	if f.nPairs < 0 || f.nPairs > 1<<30 ||
 		f.nSlots != perfecthash.CompactSlots(f.nPairs) ||
 		f.nBuckets != perfecthash.CompactBuckets(f.nPairs) {
-		return nil, fmt.Errorf("flat header hash shape (%d pairs, %d slots, %d buckets) inconsistent",
+		return nil, 0, fmt.Errorf("flat header hash shape (%d pairs, %d slots, %d buckets) inconsistent",
 			f.nPairs, f.nSlots, f.nBuckets)
 	}
 	f.shift = flatShift(f.nNodes)
 	if f.wide != (2*f.shift > 31) {
-		return nil, fmt.Errorf("flat wide flag %v inconsistent with %d nodes", f.wide, f.nNodes)
+		return nil, 0, fmt.Errorf("flat wide flag %v inconsistent with %d nodes", f.wide, f.nNodes)
 	}
+	return f, dirEnd, nil
+}
+
+// decodeFlatBody is the O(#slabs) structural validation pass: header magic
+// and CRC, sane header fields, and a slab directory whose entries are
+// in-bounds, 8-aligned, non-overlapping and exactly the lengths the header
+// implies. Everything a query later reads is either covered here or bounds-
+// guarded at access time, so corrupt content yields errors, never faults.
+func decodeFlatBody(body []byte, keep any) (*FlatOracle, error) {
+	f, dirEnd, err := decodeFlatHeader(body)
+	if err != nil {
+		return nil, err
+	}
+	f.body, f.keep = body, keep
+	nSlabs := (dirEnd - flatDirOff) / flatDirEntryLen
 	stride := flatSlotStride
 	if f.wide {
 		stride = flatSlotStrideWide

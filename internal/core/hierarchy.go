@@ -458,7 +458,7 @@ func (sh *ShardedIndex) coarseFor(span float64) (PointIndex, error) {
 		if k < 0 {
 			continue
 		}
-		if pi, ok := sh.members[k].Index.(PointIndex); ok {
+		if pi := pointMember(sh.members[k].Index); pi != nil {
 			return pi, nil
 		}
 	}
@@ -776,6 +776,18 @@ func (sh *ShardedIndex) memberNearestK(k int, x, y float64, want int) ([]Neighbo
 // straddling pair fails with CrossMemberError, the structured form the
 // serving layer maps to 422.
 
+// pointMember returns a member's point-query capability, nil when it has
+// none. A lazy member implements PointIndex for every kind, so it is judged
+// by its manifest kind instead — only a2a bodies answer point queries — and
+// routing never faults a member in just to learn that it cannot answer.
+func pointMember(idx DistanceIndex) PointIndex {
+	if lm, ok := idx.(*lazyMember); ok && lm.kind != KindA2A {
+		return nil
+	}
+	pi, _ := idx.(PointIndex)
+	return pi
+}
+
 // coordLocate resolves both coordinate endpoints' owning members and
 // whether they coincide.
 func (sh *ShardedIndex) coordLocate(sx, sy, tx, ty float64) (ms, mt ShardMember, same bool) {
@@ -795,7 +807,7 @@ func (sh *ShardedIndex) QueryPoints(s, t terrain.SurfacePoint) (float64, error) 
 // member, falling back to the coarse level. Part of PointIndex.
 func (sh *ShardedIndex) Project(x, y float64) (terrain.SurfacePoint, bool) {
 	m, _ := sh.Locate(x, y)
-	if pi, ok := m.Index.(PointIndex); ok {
+	if pi := pointMember(m.Index); pi != nil {
 		if p, ok := pi.Project(x, y); ok {
 			return p, true
 		}
@@ -811,14 +823,14 @@ func (sh *ShardedIndex) Project(x, y float64) (terrain.SurfacePoint, bool) {
 // QueryXY answers the planar-coordinate query form. Part of PointIndex.
 func (sh *ShardedIndex) QueryXY(sx, sy, tx, ty float64) (float64, error) {
 	if len(sh.members) == 1 {
-		if pi, ok := sh.members[0].Index.(PointIndex); ok {
+		if pi := pointMember(sh.members[0].Index); pi != nil {
 			return pi.QueryXY(sx, sy, tx, ty)
 		}
 		return 0, fmt.Errorf("core: member %q (kind %s) answers no point queries", sh.members[0].Name, sh.members[0].Index.Stats().Kind)
 	}
 	ms, mt, same := sh.coordLocate(sx, sy, tx, ty)
 	if same {
-		if pi, ok := ms.Index.(PointIndex); ok {
+		if pi := pointMember(ms.Index); pi != nil {
 			return pi.QueryXY(sx, sy, tx, ty)
 		}
 	}

@@ -261,12 +261,12 @@ func TestLODWorkloadsCrossTile(t *testing.T) {
 }
 
 // Builds must be deterministic across worker counts, and the streaming
-// writer must be byte-identical to the resident build + encode, in both
-// layouts.
+// writer must be byte-identical to the resident build + encode. Both write
+// the SE tiles flat, so an explicit ConvertFlat changes no byte either.
 func TestLODDeterministicEncode(t *testing.T) {
 	w := newTestWorld(t, 11, 26, 49)
 	opt := lodOpt(0.25, 50)
-	var resident, workers8, streamed, streamedFlat bytes.Buffer
+	var resident, workers8, streamed bytes.Buffer
 
 	sh := buildLOD(t, w, 4, opt)
 	if err := sh.EncodeTo(&resident); err != nil {
@@ -281,7 +281,7 @@ func TestLODDeterministicEncode(t *testing.T) {
 		t.Fatal("Workers=1 vs Workers=8 containers differ")
 	}
 
-	sum, err := WriteSharded(&streamed, w.eng, w.mesh, w.pois, 4, opt, false)
+	sum, err := WriteSharded(&streamed, w.eng, w.mesh, w.pois, 4, opt)
 	if err != nil {
 		t.Fatalf("WriteSharded: %v", err)
 	}
@@ -300,11 +300,8 @@ func TestLODDeterministicEncode(t *testing.T) {
 	if err := flat.(*ShardedIndex).EncodeTo(&residentFlat); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteSharded(&streamedFlat, w.eng, w.mesh, w.pois, 4, opt, true); err != nil {
-		t.Fatalf("WriteSharded flat: %v", err)
-	}
-	if !bytes.Equal(residentFlat.Bytes(), streamedFlat.Bytes()) {
-		t.Fatal("streamed flat container differs from ConvertFlat + EncodeTo")
+	if !bytes.Equal(residentFlat.Bytes(), streamed.Bytes()) {
+		t.Fatal("streamed container differs from ConvertFlat + EncodeTo")
 	}
 	// The plain (non-hierarchical) streaming path must equal BuildShardedSE.
 	var plainResident, plainStream bytes.Buffer
@@ -312,7 +309,7 @@ func TestLODDeterministicEncode(t *testing.T) {
 	if err := plain.EncodeTo(&plainResident); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteSharded(&plainStream, w.eng, w.mesh, w.pois, 4, LODOptions{Options: opt.Options}, false); err != nil {
+	if _, err := WriteSharded(&plainStream, w.eng, w.mesh, w.pois, 4, LODOptions{Options: opt.Options}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plainResident.Bytes(), plainStream.Bytes()) {

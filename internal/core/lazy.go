@@ -15,10 +15,14 @@ import (
 // its byte range of the container image, and the body decodes on first
 // touch ("faults in"). Decoded members are tracked by a residentSet — a
 // strict-LRU clock over decoded heap bytes — which evicts the
-// least-recently-used member when the budget is exceeded. Flat members stay
-// zero-parse: their fault is a slab validation over the mapped bytes, and
-// their resident heap cost is near zero, so they effectively never charge
-// the budget.
+// least-recently-used member when the budget is exceeded. Multi containers
+// write their SE tiles in the flat layout, so a tile fault is a CRC check of
+// the member's bytes plus a slab validation, and a resident tile charges
+// near zero heap: it effectively never counts against the budget. What the
+// resident set still decodes, charges and evicts is the coarse A2A members
+// and the se-layout tiles of containers written before tiles were flat.
+// An unfaulted flat member reports its shape (ε, POIs, pairs, height) from
+// its flat header, read at load with the header CRC checked.
 //
 // Concurrency protocol (the race-soak test hammers this):
 //
@@ -144,6 +148,9 @@ type lazyMember struct {
 	// appended portals; -1 disables the fault-time point check.
 	npois     int64
 	expectPts int64
+	// shape is what an unfaulted member reports: a flat member's header
+	// fields (see flatShape), else just the manifest kind.
+	shape IndexStats
 
 	cur     atomic.Pointer[residentEntry]
 	lastUse atomic.Int64
@@ -193,9 +200,6 @@ func (lm *lazyMember) decode() (DistanceIndex, error) {
 	idx, err := loadMember(lm.payload, lm.keep)
 	if err != nil {
 		return nil, err
-	}
-	if _, nested := idx.(*ShardedIndex); nested {
-		return nil, fmt.Errorf("member is itself a multi index (nesting unsupported)")
 	}
 	if got := idx.Stats().Kind; got != lm.kind {
 		return nil, fmt.Errorf("manifest says kind %s, body holds %s", lm.kind, got)
@@ -258,16 +262,40 @@ func (lm *lazyMember) MemoryBytes() int64 {
 func (lm *lazyMember) MappedBytes() int64 { return int64(len(lm.payload)) }
 
 // Stats reports the decoded body's stats while resident; evicted members
-// report the manifest/hierarchy shape (kind, POI count, mapped bytes) so
-// aggregate stats stay stable across eviction.
+// report the shape read at load (a flat member's header: ε, POIs, pairs,
+// height; else the hierarchy's POI count) plus the kind and mapped bytes,
+// so aggregate stats stay stable across eviction.
 func (lm *lazyMember) Stats() IndexStats {
 	if e := lm.cur.Load(); e != nil {
 		return e.idx.Stats()
 	}
-	st := IndexStats{Kind: lm.kind, MappedBytes: int64(len(lm.payload))}
-	if lm.npois > 0 {
+	st := lm.shape
+	st.MappedBytes = int64(len(lm.payload))
+	if st.Points == 0 && lm.npois > 0 {
 		st.Points = int(lm.npois)
 	}
+	return st
+}
+
+// flatShape reads the stats an unfaulted member reports from its container
+// bytes without faulting it in: for a flat member, the flat header's ε, POI
+// count, pair count and height, validated by the header CRC. Any other kind,
+// and a member whose envelope or header fails to validate, reports only its
+// manifest kind — the damage surfaces at the fault, as before.
+func flatShape(payload []byte, kind Kind) IndexStats {
+	st := IndexStats{Kind: kind}
+	if kind != KindFlat {
+		return st
+	}
+	k, secs, err := sliceContainer(payload)
+	if err != nil || k != KindFlat {
+		return st
+	}
+	f, _, err := decodeFlatHeader(secs[secFlat])
+	if err != nil {
+		return st
+	}
+	st.Epsilon, st.Points, st.Pairs, st.Height = f.eps, f.npoi, f.nPairs, f.height
 	return st
 }
 

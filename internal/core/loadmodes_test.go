@@ -126,6 +126,13 @@ func TestLoadModesAgree(t *testing.T) {
 	if err := o.EncodeFlatTo(&flat); err != nil {
 		t.Fatal(err)
 	}
+	// A multi container writes its SE tiles flat, so the built index and its
+	// ConvertFlat form encode to the same bytes. The "-se" rows load the
+	// se-tile containers of the legacy writer.
+	multiFlat := encodeIndex(t, sh)
+	if !bytes.Equal(multiFlat, encodeIndex(t, fsh)) {
+		t.Fatal("multi container of SE tiles differs from its ConvertFlat form")
+	}
 	containers := []struct {
 		name string
 		data []byte
@@ -134,8 +141,9 @@ func TestLoadModesAgree(t *testing.T) {
 		{"a2a", encodeIndex(t, so)},
 		{"dynamic", encodeIndex(t, dyn)},
 		{"flat", flat.Bytes()},
-		{"multi-se", encodeIndex(t, sh)},
-		{"multi-flat", encodeIndex(t, fsh)},
+		{"multi-se", encodeLegacy(t, sh)},
+		{"multi-flat", multiFlat},
+		{"lod-se", encodeLegacy(t, lod)},
 		{"lod", encodeIndex(t, lod)},
 	}
 	// Member sites hit member 0's body (its middle, or its own CRC footer);
@@ -202,16 +210,23 @@ func TestLoadModesAgree(t *testing.T) {
 		"multi-flat/footer":        {"err", "err", "ok", "ok", "ok"},
 		"multi-flat/manifest":      {"err", "err", "ok", "ok", "ok"},
 		"multi-flat/member":        {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"multi-flat/member-footer": {"err", "err", "ok", "ok", "ok"},
+		"multi-flat/member-footer": {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
 		"multi-flat/mesh":          {"err", "err", "ok", "ok", "ok"},
 		"multi-flat/flat-header":   {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"lod-se/none":              {"ok", "ok", "ok", "ok", "ok"},
+		"lod-se/footer":            {"err", "err", "ok", "ok", "ok"},
+		"lod-se/manifest":          {"err", "err", "ok", "ok", "ok"},
+		"lod-se/member":            {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"lod-se/member-footer":     {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"lod-se/mesh":              {"err", "err", "ok", "ok", "ok"},
+		"lod-se/flat-header":       {"-", "-", "-", "-", "-"},
 		"lod/none":                 {"ok", "ok", "ok", "ok", "ok"},
 		"lod/footer":               {"err", "err", "ok", "ok", "ok"},
 		"lod/manifest":             {"err", "err", "ok", "ok", "ok"},
 		"lod/member":               {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
 		"lod/member-footer":        {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
 		"lod/mesh":                 {"err", "err", "ok", "ok", "ok"},
-		"lod/flat-header":          {"-", "-", "-", "-", "-"},
+		"lod/flat-header":          {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
 	}
 
 	var got strings.Builder

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -13,11 +11,11 @@ import (
 // lodbuild.go — construction of hierarchical (LOD) multi containers and the
 // streaming tiled encoder. BuildShardedLOD extends BuildShardedSE's fine SE
 // grid with boundary portals on shared tile edges and one coarse A2A member
-// per extra level; WriteSharded streams either build (hierarchical or plain,
-// decoded or flat layout) straight into a container file one tile at a time,
-// so peak build heap stays ~one tile instead of the whole grid. Both paths
-// run the same plan and the same per-tile builds, so for identical inputs
-// the streamed container is byte-for-byte the resident EncodeTo output.
+// per extra level; WriteSharded streams either build (hierarchical or plain)
+// straight into a container file one tile at a time, so peak build heap
+// stays ~one tile instead of the whole grid. Both paths run the same plan
+// and the same per-tile builds, so for identical inputs the streamed
+// container is byte-for-byte the resident EncodeTo output.
 
 // DefaultPortalsPerEdge is the boundary-portal density used when
 // LODOptions.PortalsPerEdge is zero: portals per shared fine-tile edge. The
@@ -130,15 +128,11 @@ type shardPlan struct {
 
 func (pl *shardPlan) numMembers() int { return len(pl.tiles) + len(pl.coarse) }
 
-// memberIdentity returns member ordinal i's manifest identity under the given
-// fine-tile layout.
-func (pl *shardPlan) memberIdentity(i int, flat bool) (name string, kind Kind, bbox BBox2D) {
+// memberIdentity returns member ordinal i's manifest identity: fine tiles
+// are written in the flat layout (see encodeMember), coarse members as a2a.
+func (pl *shardPlan) memberIdentity(i int) (name string, kind Kind, bbox BBox2D) {
 	if i < len(pl.tiles) {
-		kind = KindSE
-		if flat {
-			kind = KindFlat
-		}
-		return pl.tiles[i].name, kind, pl.tiles[i].bbox
+		return pl.tiles[i].name, KindFlat, pl.tiles[i].bbox
 	}
 	return pl.coarse[i-len(pl.tiles)].name, KindA2A, pl.terrBBox
 }
@@ -283,7 +277,7 @@ func (pl *shardPlan) attachHier(sh *ShardedIndex) error {
 	names := make([]string, pl.numMembers())
 	ident := make([]int, pl.numMembers())
 	for i := range bboxes {
-		names[i], _, bboxes[i] = pl.memberIdentity(i, false)
+		names[i], _, bboxes[i] = pl.memberIdentity(i)
 		ident[i] = i
 	}
 	h, err := buildHierMeta(pl.levels, pl.parents, pl.npois, pl.links, bboxes)
@@ -337,7 +331,7 @@ func BuildShardedLOD(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.Surfac
 	}
 	members := make([]ShardMember, n)
 	for i := range members {
-		name, _, bbox := pl.memberIdentity(i, false)
+		name, _, bbox := pl.memberIdentity(i)
 		members[i] = ShardMember{Name: name, BBox: bbox, Index: built[i]}
 	}
 	sh, err := NewShardedIndex(members)
@@ -363,50 +357,20 @@ type ShardedBuildSummary struct {
 	Points int
 }
 
-// manifestSectionOf is the plan-level counterpart of
-// ShardedIndex.manifestSection: the same manifest bytes produced from member
-// identities alone, before any member exists.
-func manifestSectionOf(pl *shardPlan, flat bool) section {
-	length := uint64(8)
-	for i := 0; i < pl.numMembers(); i++ {
-		name, _, _ := pl.memberIdentity(i, flat)
-		length += 2 + 2 + uint64(len(name)) + 32
-	}
-	return section{id: secManifest, length: length, write: func(w io.Writer) error {
-		if err := binary.Write(w, binary.LittleEndian, int64(pl.numMembers())); err != nil {
-			return err
-		}
-		for i := 0; i < pl.numMembers(); i++ {
-			name, kind, bbox := pl.memberIdentity(i, flat)
-			if err := binary.Write(w, binary.LittleEndian, []uint16{uint16(kind), uint16(len(name))}); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, name); err != nil {
-				return err
-			}
-			if err := binary.Write(w, binary.LittleEndian,
-				[4]float64{bbox.MinX, bbox.MinY, bbox.MaxX, bbox.MaxY}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
-}
-
-// WriteSharded builds a sharded (optionally hierarchical, optionally flat)
-// multi container and streams it straight to w, one member at a time: the
-// manifest, hierarchy, portal and shared-mesh sections go out first (all are
-// functions of the plan alone), then each tile is built, encoded, written and
-// dropped before the next begins. Peak build heap is therefore ~one tile —
-// the terrain, the engine and the largest single member — instead of the
+// WriteSharded builds a sharded (optionally hierarchical) multi container
+// and streams it straight to w, one member at a time: the manifest,
+// hierarchy, portal and shared-mesh sections go out first (all are
+// functions of the plan alone), then each tile is built, encoded, written
+// and dropped before the next begins. Peak build heap is therefore ~one tile
+// — the terrain, the engine and the largest single member — instead of the
 // whole grid, while the bytes written are exactly what building the whole
-// index resident (BuildShardedLOD, ConvertFlat when flat, EncodeTo) would
-// produce.
+// index resident (BuildShardedLOD, EncodeTo) would produce: fine tiles in
+// the flat layout, coarse members as a2a.
 //
 // The tiles are built sequentially, each with the full opt.Workers
 // parallelism inside; since every member build is deterministic for any
 // worker count, the sequential schedule changes nothing but peak memory.
-func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt LODOptions, flat bool) (ShardedBuildSummary, error) {
+func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt LODOptions) (ShardedBuildSummary, error) {
 	var sum ShardedBuildSummary
 	pl, err := planSharded(m, pois, shards, opt)
 	if err != nil {
@@ -429,7 +393,7 @@ func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terr
 	if err != nil {
 		return sum, err
 	}
-	if err := cw.section(manifestSectionOf(pl, flat)); err != nil {
+	if err := cw.section(manifestSection(n, pl.memberIdentity)); err != nil {
 		return sum, err
 	}
 	if pl.levels != nil {
@@ -450,25 +414,12 @@ func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terr
 		if err != nil {
 			return sum, err
 		}
-		var buf bytes.Buffer
-		if o, ok := idx.(*Oracle); ok {
-			if flat {
-				f, ferr := flatFromOracle(o, nil, m)
-				if ferr != nil {
-					return sum, fmt.Errorf("core: converting shard %s: %w", pl.tiles[i].name, ferr)
-				}
-				err = f.EncodeTo(&buf)
-			} else {
-				err = o.encodeContainer(&buf, nil) // mesh hoisted into the shared section
-			}
-		} else {
-			err = idx.EncodeTo(&buf)
-		}
+		_, body, err := encodeMember(idx, m)
 		if err != nil {
-			name, _, _ := pl.memberIdentity(i, flat)
+			name, _, _ := pl.memberIdentity(i)
 			return sum, fmt.Errorf("core: encoding member %q: %w", name, err)
 		}
-		if err := cw.section(bytesSection(secMemberBase+uint32(i), buf.Bytes())); err != nil {
+		if err := cw.section(bytesSection(secMemberBase+uint32(i), body)); err != nil {
 			return sum, err
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // -shards=K produces one by tiling the terrain and building one SE oracle per
 // tile. On disk it is a KindMulti container: a manifest section naming every
 // member (name, kind, bbox), followed by the members' existing tagged
-// container bodies, one per section.
+// container bodies, one per section — SE oracles in the flat layout.
 
 const (
 	// maxShardMembers bounds how many members one multi container may carry
@@ -310,29 +310,28 @@ func (sh *ShardedIndex) Stats() IndexStats {
 // name bytes, bbox 4 × float64. Member i's tagged container body follows as
 // section secMemberBase+i, in manifest order.
 
-func (sh *ShardedIndex) manifestLen() uint64 {
-	n := uint64(8)
-	for _, m := range sh.members {
-		n += 2 + 2 + uint64(len(m.Name)) + 32
+// manifestSection streams the manifest of n members whose identities entry
+// reports. The resident encoder and the streaming tiled build share it.
+func manifestSection(n int, entry func(i int) (name string, kind Kind, bbox BBox2D)) section {
+	length := uint64(8)
+	for i := 0; i < n; i++ {
+		name, _, _ := entry(i)
+		length += 2 + 2 + uint64(len(name)) + 32
 	}
-	return n
-}
-
-func (sh *ShardedIndex) manifestSection() section {
-	return section{id: secManifest, length: sh.manifestLen(), write: func(w io.Writer) error {
-		if err := binary.Write(w, binary.LittleEndian, int64(len(sh.members))); err != nil {
+	return section{id: secManifest, length: length, write: func(w io.Writer) error {
+		if err := binary.Write(w, binary.LittleEndian, int64(n)); err != nil {
 			return err
 		}
-		for _, m := range sh.members {
-			if err := binary.Write(w, binary.LittleEndian,
-				[]uint16{uint16(m.Index.Stats().Kind), uint16(len(m.Name))}); err != nil {
+		for i := 0; i < n; i++ {
+			name, kind, bbox := entry(i)
+			if err := binary.Write(w, binary.LittleEndian, []uint16{uint16(kind), uint16(len(name))}); err != nil {
 				return err
 			}
-			if _, err := io.WriteString(w, m.Name); err != nil {
+			if _, err := io.WriteString(w, name); err != nil {
 				return err
 			}
 			if err := binary.Write(w, binary.LittleEndian,
-				[4]float64{m.BBox.MinX, m.BBox.MinY, m.BBox.MaxX, m.BBox.MaxY}); err != nil {
+				[4]float64{bbox.MinX, bbox.MinY, bbox.MaxX, bbox.MaxY}); err != nil {
 				return err
 			}
 		}
@@ -363,66 +362,99 @@ func (sh *ShardedIndex) sharedMesh() *terrain.Mesh {
 // the manifest, the hierarchy and portal sections (hierarchical containers
 // only), one shared terrain mesh (when the SE members tile a common
 // terrain — embedding it per member would store K identical copies), then
-// every member's own container bytes. Members are buffered one at a time
-// (their containers are deterministic, so decode → re-encode stays
-// byte-identical member by member); lazy members re-emit their retained
-// section bytes verbatim, so a budgeted load re-encodes byte-identically
-// without faulting anything in.
+// every member's own container bytes. SE oracle members are written in the
+// flat layout (see encodeMember), so a member load is a checksum and a slab
+// slice, never a decode. Members are buffered one at a time (their
+// containers are deterministic, so decode → re-encode stays byte-identical
+// member by member); lazy members re-emit their retained section bytes
+// verbatim, so a budgeted load re-encodes byte-identically without faulting
+// anything in.
 //
 // A degraded hierarchical index (quarantined members) refuses to re-encode:
 // the hierarchy's ordinals, global id bases and portal links all reference
 // the full manifest, and a container rewritten without the missing members
 // would silently renumber the id space.
-func (sh *ShardedIndex) EncodeTo(w io.Writer) error {
+func (sh *ShardedIndex) EncodeTo(w io.Writer) error { return sh.encode(w, encodeMember) }
+
+// memberEncoder encodes one member for a multi container and reports the
+// kind its manifest entry names. shared is the mesh the container hoists
+// into its shared section (nil when there is none).
+type memberEncoder func(idx DistanceIndex, shared *terrain.Mesh) (Kind, []byte, error)
+
+// encodeMember is the multi container's member encoder: an SE oracle goes
+// out as a flat container (without its mesh when the container shares it),
+// a lazy member re-emits its retained bytes, and every other kind encodes as
+// itself.
+func encodeMember(idx DistanceIndex, shared *terrain.Mesh) (Kind, []byte, error) {
+	var buf bytes.Buffer
+	switch v := idx.(type) {
+	case *lazyMember:
+		return v.kind, v.payload, nil
+	case *Oracle:
+		mesh := v.Mesh()
+		if mesh == shared {
+			mesh = nil // hoisted into the shared section
+		}
+		err := v.encodeFlatContainer(&buf, mesh)
+		return KindFlat, buf.Bytes(), err
+	}
+	err := idx.EncodeTo(&buf)
+	return idx.Stats().Kind, buf.Bytes(), err
+}
+
+// encode writes the container with the given member encoder.
+func (sh *ShardedIndex) encode(w io.Writer, enc memberEncoder) error {
 	if sh.hier != nil && len(sh.members) != len(sh.hier.levels) {
 		return fmt.Errorf("core: refusing to re-encode a degraded hierarchical multi (%d of %d members loaded; global ids would renumber)",
 			len(sh.members), len(sh.hier.levels))
 	}
-	secs := []section{sh.manifestSection()}
+	var shared *terrain.Mesh
+	if sh.rs == nil {
+		shared = sh.sharedMesh()
+	}
+	kinds := make([]Kind, len(sh.members))
+	bodies := make([]section, len(sh.members))
+	for i, m := range sh.members {
+		kind, body, err := enc(m.Index, shared)
+		if err != nil {
+			return fmt.Errorf("core: encoding member %q: %w", m.Name, err)
+		}
+		kinds[i], bodies[i] = kind, bytesSection(secMemberBase+uint32(i), body)
+	}
+	secs := []section{manifestSection(len(sh.members), func(i int) (string, Kind, BBox2D) {
+		return sh.members[i].Name, kinds[i], sh.members[i].BBox
+	})}
 	if sh.hier != nil {
 		secs = append(secs, hierarchySection(sh.hier.levels, sh.hier.parents, sh.hier.npois))
 		if len(sh.hier.portals) > 0 {
 			secs = append(secs, portalsSection(sh.hier.portals))
 		}
 	}
-	var shared *terrain.Mesh
-	if sh.rs != nil {
-		if sh.rawMesh != nil {
-			secs = append(secs, bytesSection(secMesh, sh.rawMesh))
-		}
-	} else {
-		shared = sh.sharedMesh()
-		if shared != nil {
-			secs = append(secs, meshSection(secMesh, shared))
-		}
+	if sh.rawMesh != nil {
+		secs = append(secs, bytesSection(secMesh, sh.rawMesh))
+	} else if shared != nil {
+		secs = append(secs, meshSection(secMesh, shared))
 	}
-	for i, m := range sh.members {
-		if lm, ok := m.Index.(*lazyMember); ok {
-			secs = append(secs, bytesSection(secMemberBase+uint32(i), lm.payload))
-			continue
-		}
-		var buf bytes.Buffer
-		var err error
-		if o, ok := m.Index.(*Oracle); ok && o.Mesh() == shared {
-			err = o.encodeContainer(&buf, nil) // mesh hoisted into the shared section
-		} else {
-			err = m.Index.EncodeTo(&buf)
-		}
-		if err != nil {
-			return fmt.Errorf("core: encoding member %q: %w", m.Name, err)
-		}
-		secs = append(secs, bytesSection(secMemberBase+uint32(i), buf.Bytes()))
-	}
-	return writeContainer(w, KindMulti, secs)
+	return writeContainer(w, KindMulti, append(secs, bodies...))
 }
 
-// loadMember decodes one member body from its in-place section bytes
-// through the same decoder as a whole image, so the per-kind CRC policy
-// holds member-wise: flat members are sliced zero-copy with keep threaded
-// through, every other kind is verified against its own footer.
+// loadMember decodes one member body from its in-place section bytes. Every
+// member is verified against its own CRC footer first, flat ones included:
+// a member is one tile of a larger image, so its checksum is paid once, at
+// eager load or at the lazy fault, before the member first serves. A flat
+// member is then sliced zero-copy with keep threaded through.
 func loadMember(payload []byte, keep any) (DistanceIndex, error) {
-	idx, _, err := decodeImage(payload, keep, LoadOptions{})
-	return idx, err
+	kind, secs, err := sliceContainer(payload)
+	if err != nil {
+		return nil, err
+	}
+	if err := verifyImageCRC(payload); err != nil {
+		return nil, err
+	}
+	if kind == KindMulti {
+		return nil, fmt.Errorf("member is itself a multi index (nesting unsupported)")
+	}
+	return decodeSections(kind, secs, keep)
 }
 
 // decodeMulti rebuilds a *ShardedIndex from a multi-kind section map. The
@@ -440,10 +472,10 @@ func loadMember(payload []byte, keep any) (DistanceIndex, error) {
 // member is damaged. keep is retained by zero-copy (flat) members whose
 // slabs alias the section bytes (see LoadBytesOpts).
 //
-// Lazy mode (opt.MemBudget > 0, see lazy.go) defers each member's body decode
-// — and therefore its kind, shared-mesh and point-count validation — to the
-// first query that touches it (a deliberate relaxation: cold start must not
-// pay for tiles the traffic never visits). A body that fails at fault time
+// Lazy mode (opt.MemBudget > 0, see lazy.go) defers each member's CRC check
+// and body decode — and therefore its kind, shared-mesh and point-count
+// validation — to the first query that touches it (a deliberate relaxation:
+// cold start must not pay for tiles the traffic never visits). A body that fails at fault time
 // serves ErrMemberFault thereafter; only a missing member section is still
 // a load-time failure.
 func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
@@ -571,6 +603,7 @@ func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceInd
 			lm := &lazyMember{
 				rs: rs, ordinal: int32(i), name: e.name, kind: e.kind,
 				payload: payload, keep: keep, npois: npois, expectPts: expectPts,
+				shape: flatShape(payload, e.kind),
 			}
 			rs.members = append(rs.members, lm)
 			ords = append(ords, i)
@@ -581,14 +614,6 @@ func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceInd
 		if err != nil {
 			if !tolerant {
 				return nil, nil, fmt.Errorf("member %q: %w", e.name, err)
-			}
-			quarantine(err)
-			continue
-		}
-		if _, nested := idx.(*ShardedIndex); nested {
-			err := fmt.Errorf("member %q is itself a multi index (nesting unsupported)", e.name)
-			if !tolerant {
-				return nil, nil, err
 			}
 			quarantine(err)
 			continue

@@ -286,10 +286,11 @@ func BuildShardedLOD(t *Terrain, pois []SurfacePoint, shards int, opt LODOptions
 // WriteSharded builds the same container BuildShardedLOD + EncodeTo would
 // produce, but streams each member to w as it is built and drops it before
 // the next starts, so peak memory is one tile rather than the whole
-// container. The output bytes are identical to the resident path. flat
-// selects the zero-parse flat member layout.
-func WriteSharded(w io.Writer, t *Terrain, pois []SurfacePoint, shards int, opt LODOptions, flat bool) (ShardedBuildSummary, error) {
-	return core.WriteSharded(w, geodesic.NewExact(t), t, pois, shards, opt, flat)
+// container. The output bytes are identical to the resident path: the SE
+// tiles are written in the zero-parse flat layout, the coarse members as
+// a2a.
+func WriteSharded(w io.Writer, t *Terrain, pois []SurfacePoint, shards int, opt LODOptions) (ShardedBuildSummary, error) {
+	return core.WriteSharded(w, geodesic.NewExact(t), t, pois, shards, opt)
 }
 
 // Load reads any serialized index container (written with EncodeTo) and
