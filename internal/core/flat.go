@@ -336,25 +336,16 @@ func flatBody(o *Oracle, mesh *terrain.Mesh) ([]byte, error) {
 }
 
 // ConvertFlat re-lays an index into the flat container layout: an SE oracle
-// becomes a FlatOracle, and a multi container becomes the index its own
-// encoding loads back as — EncodeTo writes SE members flat, so a multi of
-// se tiles (say, loaded from a legacy container) comes back with flat
-// members that adopt the shared mesh. Members of a budgeted load re-emit
-// their bytes unchanged. Other kinds, and oracles without a point table,
-// have no flat form and return an error.
+// becomes a FlatOracle. A multi container is returned as is: its EncodeTo
+// already writes every SE member flat, so a multi of se tiles (say, loaded
+// from a legacy container) re-encodes to the flat-tile bytes. Other kinds,
+// and oracles without a point table, have no flat form and return an error.
 func ConvertFlat(idx DistanceIndex) (DistanceIndex, error) {
 	switch v := idx.(type) {
-	case *FlatOracle:
+	case *FlatOracle, *ShardedIndex:
 		return v, nil
 	case *Oracle:
 		return flatFromOracle(v)
-	case *ShardedIndex:
-		var buf bytes.Buffer
-		if err := v.EncodeTo(&buf); err != nil {
-			return nil, err
-		}
-		out, _, err := LoadBytesOpts(buf.Bytes(), nil, LoadOptions{})
-		return out, err
 	default:
 		return nil, fmt.Errorf("core: kind %s has no flat layout (flat supports se and multi)", idx.Stats().Kind)
 	}
@@ -1149,6 +1140,21 @@ func (f *FlatOracle) NumPairs() int { return f.nPairs }
 // /statsz reports. (An *Oracle charges its engine's owned slabs itself.)
 func (f *FlatOracle) MemoryBytes() int64 {
 	return flatStructBytes + f.heapExtra.Load()
+}
+
+// inflatedBytes is what MemoryBytes reports once every cold slab present has
+// inflated: the most heap the oracle grows to. A budgeted multi load charges
+// a flat member this at admission, so the point and mesh slabs later queries
+// inflate stay inside the memory budget.
+func (f *FlatOracle) inflatedBytes() int64 {
+	b := int64(flatStructBytes)
+	if f.ptsC != nil {
+		b += int64(f.npoi) * pointRecordSize
+	}
+	if f.meshC != nil {
+		b += int64(f.meshRaw) * 2
+	}
+	return b
 }
 
 // MappedBytes reports how many bytes the oracle serves in place from the

@@ -365,22 +365,12 @@ func TestFlatCorruptSlabContentErrorsNotFaults(t *testing.T) {
 func TestFlatMultiConvertAndDegraded(t *testing.T) {
 	w := newTestWorld(t, 9, 16, 9800)
 	sh := buildSharded(t, w, 4, Options{Epsilon: 0.25, Seed: 9801})
-	conv, err := ConvertFlat(sh)
-	if err != nil {
-		t.Fatalf("ConvertFlat(multi): %v", err)
+	// A multi already encodes its SE members flat: ConvertFlat is the
+	// identity on it.
+	if conv, err := ConvertFlat(sh); err != nil || conv != DistanceIndex(sh) {
+		t.Fatalf("ConvertFlat(multi) = (%T, %v), want the multi itself", conv, err)
 	}
-	fsh, ok := conv.(*ShardedIndex)
-	if !ok {
-		t.Fatalf("ConvertFlat returned %T, want *ShardedIndex", conv)
-	}
-	if fsh.MappedBytes() <= 0 {
-		t.Error("converted multi reports no mapped bytes")
-	}
-	var buf bytes.Buffer
-	if err := fsh.EncodeTo(&buf); err != nil {
-		t.Fatalf("EncodeTo: %v", err)
-	}
-	blob := buf.Bytes()
+	blob := encodeIndex(t, sh)
 
 	idx, _, err := LoadBytesOpts(blob, nil, LoadOptions{})
 	if err != nil {
@@ -389,6 +379,9 @@ func TestFlatMultiConvertAndDegraded(t *testing.T) {
 	lsh := idx.(*ShardedIndex)
 	if lsh.NumMembers() != sh.NumMembers() {
 		t.Fatalf("loaded %d members, want %d", lsh.NumMembers(), sh.NumMembers())
+	}
+	if lsh.MappedBytes() <= 0 {
+		t.Error("loaded flat-tile multi reports no mapped bytes")
 	}
 	// Members answer (query and path, via the adopted shared mesh)
 	// bit-identically to the decoded originals.

@@ -74,8 +74,8 @@ func TestFlatTileParity(t *testing.T) {
 
 // Under the serving benchmark's budget — every built member but the smallest
 // tile — a flat-tile container faults each member at most once and never
-// evicts: a flat tile charges only its struct. The se-tile container of the
-// same index, toured the same way, does evict.
+// evicts: a flat tile is charged only its struct and point table. The
+// se-tile container of the same index, toured the same way, does evict.
 func TestFlatTilesFaultOnceUnderBudget(t *testing.T) {
 	_, sh, flat, legacy := flatTileWorld(t)
 	var total int64
@@ -221,5 +221,45 @@ func TestLazyFlatMemberStatsFromHeader(t *testing.T) {
 	}
 	if _, err := m.Index.Query(0, 1); !errors.Is(err, ErrMemberFault) {
 		t.Errorf("member with a bad header CRC: want ErrMemberFault, got %v", err)
+	}
+}
+
+// A budgeted load charges a flat tile the heap it grows to, not just its
+// struct: once a nearest query has inflated a tile's point slab, its charge
+// still covers its heap, and so does the resident set's total.
+func TestFlatTileChargeCoversInflatedPoints(t *testing.T) {
+	_, _, flat, _ := flatTileWorld(t)
+	idx, _, err := LoadBytesOpts(flat, nil, LoadOptions{MemBudget: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := idx.(*ShardedIndex)
+	var heap int64
+	tiles := 0
+	for _, m := range l.Members() {
+		lm := m.Index.(*lazyMember)
+		if lm.kind == KindFlat {
+			if _, _, _, err := lm.Nearest(0, 0); err != nil {
+				t.Fatalf("%s: Nearest: %v", m.Name, err)
+			}
+			tiles++
+		} else if _, err := lm.get(); err != nil {
+			t.Fatalf("%s: fault: %v", m.Name, err)
+		}
+		e := lm.cur.Load()
+		got := e.idx.MemoryBytes()
+		if lm.kind == KindFlat && got <= flatStructBytes {
+			t.Fatalf("%s: Nearest inflated no points (MemoryBytes %d)", m.Name, got)
+		}
+		if e.bytes < got {
+			t.Errorf("%s (kind %s): charged %d bytes, holds %d", m.Name, lm.kind, e.bytes, got)
+		}
+		heap += got
+	}
+	if tiles == 0 {
+		t.Fatal("no flat tiles")
+	}
+	if res, charged := l.rs.residency(); res != l.NumMembers() || charged < heap {
+		t.Errorf("%d of %d members resident, charged %d bytes for %d of heap", res, l.NumMembers(), charged, heap)
 	}
 }

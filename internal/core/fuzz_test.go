@@ -106,10 +106,14 @@ func FuzzDecode(f *testing.F) {
 	if err := dyn.EncodeTo(&dynCont); err != nil {
 		f.Fatal(err)
 	}
-	// Multi container: a 2-shard tiled build, so the fuzzer sees a valid
+	// Multi containers: a 2-shard tiled build, so the fuzzer sees a valid
 	// manifest (names, bboxes, member-count) plus two nested member bodies
 	// to mutate — duplicate names, overlapping/empty/inverted bboxes,
-	// member-count lies and truncation all start one bit flip away.
+	// member-count lies and truncation all start one bit flip away. It is
+	// seeded in both member layouts: flat tiles with the shared mesh
+	// hoisted, as EncodeTo writes them, and the se tiles of the legacy
+	// writer, which still load (se member decode, shared-mesh attach and
+	// point check, lazy se decode).
 	sh, err := BuildShardedSE(eng, m, pois, 2, Options{Epsilon: 0.3, Seed: 606})
 	if err != nil {
 		f.Fatal(err)
@@ -118,21 +122,13 @@ func FuzzDecode(f *testing.F) {
 	if err := sh.EncodeTo(&multiCont); err != nil {
 		f.Fatal(err)
 	}
-	// Flat containers: the scalar flat oracle, a multi of flat members
-	// (shared mesh hoisted), and a flat body with slab *content* flipped —
-	// the byte-path loader skips the whole-file CRC, so content damage must
-	// surface as query errors, never faults, and the fuzzer should start
-	// one mutation away from every slab.
+	legacyMulti := encodeLegacy(f, sh)
+	// Flat containers: the scalar flat oracle and a flat body with slab
+	// *content* flipped — the byte-path loader skips the whole-file CRC, so
+	// content damage must surface as query errors, never faults, and the
+	// fuzzer should start one mutation away from every slab.
 	var flatCont bytes.Buffer
 	if err := o.EncodeFlatTo(&flatCont); err != nil {
-		f.Fatal(err)
-	}
-	fsh, err := ConvertFlat(sh)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var flatMulti bytes.Buffer
-	if err := fsh.EncodeTo(&flatMulti); err != nil {
 		f.Fatal(err)
 	}
 	flatFlip := append([]byte(nil), flatCont.Bytes()...)
@@ -153,6 +149,7 @@ func FuzzDecode(f *testing.F) {
 	if err := lodSh.EncodeTo(&lodCont); err != nil {
 		f.Fatal(err)
 	}
+	legacyLOD := encodeLegacy(f, lodSh)
 	hierMut := func(mut func(secs map[uint32][]byte)) []byte {
 		img := append([]byte(nil), lodCont.Bytes()...)
 		_, secs, err := sliceContainer(img) // payloads alias img
@@ -176,8 +173,8 @@ func FuzzDecode(f *testing.F) {
 		binary.LittleEndian.PutUint32(s[8+8:], binary.LittleEndian.Uint32(s[8+8:])+1) // first link's IDA off by one
 	})
 	for _, seed := range [][]byte{bare.Bytes(), seCont.Bytes(), a2aCont.Bytes(), dynCont.Bytes(),
-		multiCont.Bytes(), flatCont.Bytes(), flatMulti.Bytes(), flatFlip,
-		lodCont.Bytes(), selfParent, orphanChild, portalCountLie, portalIDFlip} {
+		multiCont.Bytes(), legacyMulti, flatCont.Bytes(), flatFlip,
+		lodCont.Bytes(), legacyLOD, selfParent, orphanChild, portalCountLie, portalIDFlip} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		// Kind-tag flip without CRC repair: must die at the footer check.

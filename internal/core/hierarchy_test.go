@@ -261,8 +261,7 @@ func TestLODWorkloadsCrossTile(t *testing.T) {
 }
 
 // Builds must be deterministic across worker counts, and the streaming
-// writer must be byte-identical to the resident build + encode. Both write
-// the SE tiles flat, so an explicit ConvertFlat changes no byte either.
+// writer must be byte-identical to the resident build + encode.
 func TestLODDeterministicEncode(t *testing.T) {
 	w := newTestWorld(t, 11, 26, 49)
 	opt := lodOpt(0.25, 50)
@@ -292,17 +291,6 @@ func TestLODDeterministicEncode(t *testing.T) {
 		t.Fatalf("summary %+v inconsistent", sum)
 	}
 
-	flat, err := ConvertFlat(sh)
-	if err != nil {
-		t.Fatalf("ConvertFlat: %v", err)
-	}
-	var residentFlat bytes.Buffer
-	if err := flat.(*ShardedIndex).EncodeTo(&residentFlat); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(residentFlat.Bytes(), streamed.Bytes()) {
-		t.Fatal("streamed container differs from ConvertFlat + EncodeTo")
-	}
 	// The plain (non-hierarchical) streaming path must equal BuildShardedSE.
 	var plainResident, plainStream bytes.Buffer
 	plain := buildSharded(t, w, 4, opt.Options)
@@ -424,19 +412,12 @@ func TestLODEvictionUnderBudget(t *testing.T) {
 
 // The race-mode soak of the concurrency protocol: goroutines hammer global
 // queries (faulting members in) while the 1-byte budget forces constant
-// eviction. Run under -race this proves no torn reads.
+// eviction. Run under -race this proves no torn reads. It soaks both tile
+// layouts: the flat tiles EncodeTo writes and the se tiles of the legacy
+// writer, whose faults decode and attach the shared mesh concurrently.
 func TestLODEvictionSoak(t *testing.T) {
 	w := newTestWorld(t, 11, 20, 55)
 	sh := buildLOD(t, w, 4, lodOpt(0.3, 56))
-	var img bytes.Buffer
-	if err := sh.EncodeTo(&img); err != nil {
-		t.Fatal(err)
-	}
-	lazyIdx, _, err := LoadBytesOpts(img.Bytes(), nil, LoadOptions{MemBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsh := lazyIdx.(*ShardedIndex)
 	n := int32(sh.NumGlobalIDs())
 
 	// Reference answers from the immutable built index.
@@ -451,36 +432,46 @@ func TestLODEvictionSoak(t *testing.T) {
 		}
 	}
 
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errCh := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 150; i++ {
-				s, tt := int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))
-				d, err := lsh.Query(s, tt)
-				if err != nil {
-					errCh <- err
-					return
+	for _, layout := range []struct {
+		name string
+		img  []byte
+	}{{"flat-tile", encodeIndex(t, sh)}, {"se-tile", encodeLegacy(t, sh)}} {
+		lazyIdx, _, err := LoadBytesOpts(layout.img, nil, LoadOptions{MemBudget: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsh := lazyIdx.(*ShardedIndex)
+		const goroutines = 8
+		var wg sync.WaitGroup
+		errCh := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < 150; i++ {
+					s, tt := int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))
+					d, err := lsh.Query(s, tt)
+					if err != nil {
+						errCh <- err
+						return
+					}
+					if d != want[s*n+tt] {
+						errCh <- errors.New("soak answer diverged from the eager reference")
+						return
+					}
 				}
-				if d != want[s*n+tt] {
-					errCh <- errors.New("soak answer diverged from the eager reference")
-					return
-				}
-			}
-		}(int64(g) * 7919)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	ts, _ := lsh.TileStats()
-	if ts.Evictions == 0 {
-		t.Fatal("soak forced no evictions")
+			}(int64(g) * 7919)
+		}
+		wg.Wait()
+		close(errCh)
+		if err := <-errCh; err != nil {
+			t.Fatalf("%s: %v", layout.name, err)
+		}
+		ts, _ := lsh.TileStats()
+		if ts.Evictions == 0 {
+			t.Fatalf("%s: soak forced no evictions", layout.name)
+		}
 	}
 }
 

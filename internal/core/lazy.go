@@ -17,10 +17,12 @@ import (
 // strict-LRU clock over decoded heap bytes — which evicts the
 // least-recently-used member when the budget is exceeded. Multi containers
 // write their SE tiles in the flat layout, so a tile fault is a CRC check of
-// the member's bytes plus a slab validation, and a resident tile charges
-// near zero heap: it effectively never counts against the budget. What the
-// resident set still decodes, charges and evicts is the coarse A2A members
-// and the se-layout tiles of containers written before tiles were flat.
+// the member's bytes plus a slab validation; a resident tile is charged its
+// struct plus its point slab as it will be once inflated (coordinate, path
+// and nearest queries inflate it; distance queries never do), a fraction of
+// a decoded se tile. What the resident set still decodes in full is the
+// coarse A2A members and the se-layout tiles of containers written before
+// tiles were flat.
 // An unfaulted flat member reports its shape (ε, POIs, pairs, height) from
 // its flat header, read at load with the header CRC checked.
 //
@@ -189,8 +191,19 @@ func (lm *lazyMember) fault() (DistanceIndex, error) {
 		return nil, lm.faultErr
 	}
 	lm.touch()
-	lm.rs.admit(lm, &residentEntry{idx: idx, bytes: idx.MemoryBytes()})
+	lm.rs.admit(lm, &residentEntry{idx: idx, bytes: budgetCharge(idx)})
 	return idx, nil
+}
+
+// budgetCharge is the heap a freshly decoded member is charged against the
+// budget. A flat member is charged its fully inflated size up front, since
+// its point and mesh slabs inflate on later queries, outside any fault;
+// every other kind is fully decoded already.
+func budgetCharge(idx DistanceIndex) int64 {
+	if f, ok := idx.(*FlatOracle); ok {
+		return f.inflatedBytes()
+	}
+	return idx.MemoryBytes()
 }
 
 // decode is the fault-time body of decodeMulti's eager per-member

@@ -27,7 +27,7 @@ func legacyMember(idx DistanceIndex, shared *terrain.Mesh) (Kind, []byte, error)
 
 // encodeLegacy writes sh exactly as the se-tile writer did, so the tests can
 // keep loading the containers already on disk.
-func encodeLegacy(t *testing.T, sh *ShardedIndex) []byte {
+func encodeLegacy(t testing.TB, sh *ShardedIndex) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := sh.encode(&buf, legacyMember); err != nil {
