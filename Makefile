@@ -45,7 +45,7 @@ bench-smoke:
 # benchmarks and the root benchmarks named in MULTI_BENCH take five samples
 # each, so `bench-check` has a spread to gate on; the rest of the root
 # suite keeps one (-skip keeps the two root passes disjoint).
-MULTI_BENCH = ^Benchmark(ColdStartFirstQuery|ColdFault|Fig8_QuerySE|Fig8_QueryFlat)$$
+MULTI_BENCH = ^Benchmark(ColdStartFirstQuery|ColdFault|Fig8_QuerySE|Fig8_QueryFlat|BuildLOD)$$
 bench-json:
 	{ $(GO) test -bench=. -skip='$(MULTI_BENCH)' -benchmem -run='^$$' -benchtime=$(BENCHTIME) . && \
 	  $(GO) test -bench='$(MULTI_BENCH)' -benchmem -run='^$$' -benchtime=$(BENCHTIME) -count=5 . && \

@@ -13,6 +13,8 @@ import (
 
 	"seoracle/internal/core"
 	"seoracle/internal/exp"
+	"seoracle/internal/gen"
+	"seoracle/internal/geodesic"
 )
 
 // lodBench caches one built hierarchical container: the resident index, its
@@ -142,6 +144,41 @@ func lodBenchWorld(b *testing.B) *lodBench {
 	}
 	lodBenchVal = lb
 	return lb
+}
+
+// BenchmarkBuildLOD measures a hierarchical build at the shape perfbench's
+// tiled-budget workload serves: an 11×11 fractal terrain (seed 1701), 80
+// uniform POIs (seed 1705), nine fine tiles and one coarse level at one
+// Steiner site per edge, ε = 0.25, at the default worker count. ssads is
+// the SSAD count summed over the ten members.
+func BenchmarkBuildLOD(b *testing.B) {
+	m, err := gen.Fractal(gen.FractalSpec{NX: 11, NY: 11, CellDX: 30, Amp: 220, Seed: 1701})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pois, err := gen.UniformPOIs(m, 80, 1705)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := geodesic.NewExact(m)
+	opt := core.LODOptions{Options: core.Options{Epsilon: 0.25, Seed: 1}, Levels: 2, SitesPerEdge: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh, err := core.BuildShardedLOD(eng, m, pois, 9, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ssads := 0
+		for _, mb := range sh.Members() {
+			switch v := mb.Index.(type) {
+			case *core.Oracle:
+				ssads += v.BuildStats().SSADCalls
+			case *core.SiteOracle:
+				ssads += v.Inner().BuildStats().SSADCalls
+			}
+		}
+		b.ReportMetric(float64(ssads), "ssads")
+	}
 }
 
 // BenchmarkColdFault measures the -mem-budget serving path's cache miss:

@@ -75,7 +75,9 @@ func main() {
 	flag.Parse()
 
 	if *check {
-		checkTrajectory(*out, *margin)
+		if err := checkTrajectory(*out, *margin); err != nil {
+			fatal("%v", err)
+		}
 		return
 	}
 
@@ -307,28 +309,28 @@ func formatStat(s summary) string {
 // checkTrajectory is the CI gate for the committed perf trajectory: a
 // missing, unparsable, wrong-schema or empty file fails loudly — a corrupt
 // BENCH_perf.json must never pass silently — and the last two runs are
-// compared statistically (see compareRuns).
-func checkTrajectory(path string, margin float64) {
+// compared statistically (see compareRuns). It returns the failure.
+func checkTrajectory(path string, margin float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal("trajectory %s unreadable: %v", path, err)
+		return fmt.Errorf("trajectory %s unreadable: %v", path, err)
 	}
 	var file File
 	if err := json.Unmarshal(data, &file); err != nil {
-		fatal("trajectory %s is not valid JSON: %v", path, err)
+		return fmt.Errorf("trajectory %s is not valid JSON: %v", path, err)
 	}
 	if file.Schema != schema {
-		fatal("trajectory %s has schema %q, want %q", path, file.Schema, schema)
+		return fmt.Errorf("trajectory %s has schema %q, want %q", path, file.Schema, schema)
 	}
 	if len(file.Runs) == 0 {
-		fatal("trajectory %s records no runs", path)
+		return fmt.Errorf("trajectory %s records no runs", path)
 	}
 	for i, run := range file.Runs {
 		if run.Label == "" {
-			fatal("trajectory %s: run %d has no label", path, i)
+			return fmt.Errorf("trajectory %s: run %d has no label", path, i)
 		}
 		if len(run.Benchmarks) == 0 {
-			fatal("trajectory %s: run %q records no benchmarks", path, run.Label)
+			return fmt.Errorf("trajectory %s: run %q records no benchmarks", path, run.Label)
 		}
 	}
 	if len(file.Runs) >= 2 {
@@ -337,7 +339,7 @@ func checkTrajectory(path string, margin float64) {
 		// hardware alone (ROADMAP), which no per-benchmark margin absorbs.
 		gate := prev.CPU != "" && prev.CPU == last.CPU
 		if regressed := compareRuns(prev, last, margin, gate); len(regressed) > 0 {
-			fatal("run %q regressed vs %q on: %s", last.Label, prev.Label, strings.Join(regressed, ", "))
+			return fmt.Errorf("run %q regressed vs %q on: %s", last.Label, prev.Label, strings.Join(regressed, ", "))
 		}
 	}
 	labels := make([]string, len(file.Runs))
@@ -345,6 +347,7 @@ func checkTrajectory(path string, margin float64) {
 		labels[i] = run.Label
 	}
 	fmt.Printf("benchjson: %s ok (%d runs: %s)\n", path, len(file.Runs), strings.Join(labels, ", "))
+	return nil
 }
 
 // gitCommit best-effort resolves the working tree's HEAD; empty when git (or

@@ -74,6 +74,11 @@ type SiteOptions struct {
 
 // BuildSiteOracle constructs the A2A oracle for mesh m.
 func BuildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions) (*SiteOracle, error) {
+	return buildSiteOracle(eng, m, opt, newBudget(opt.Workers))
+}
+
+// buildSiteOracle is BuildSiteOracle with the inner build drawing on b.
+func buildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions, b *budget) (*SiteOracle, error) {
 	per := opt.SitesPerEdge
 	if per <= 0 {
 		per = SitesPerEdgeForEps(opt.Epsilon)
@@ -117,7 +122,7 @@ func BuildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions) (*Si
 		so.faceSites[he.Face] = append(so.faceSites[he.Face], ids...)
 	}
 
-	o, err := Build(eng, so.sites, opt.Options)
+	o, err := build(eng, so.sites, opt.Options, b)
 	if err != nil {
 		return nil, fmt.Errorf("core: building site oracle: %w", err)
 	}

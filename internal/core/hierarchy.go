@@ -788,6 +788,15 @@ func pointMember(idx DistanceIndex) PointIndex {
 	return pi
 }
 
+// pointPathMember is pointMember for the point-path capability.
+func pointPathMember(idx DistanceIndex) PointPathIndex {
+	if lm, ok := idx.(*lazyMember); ok && lm.kind != KindA2A {
+		return nil
+	}
+	pp, _ := idx.(PointPathIndex)
+	return pp
+}
+
 // coordLocate resolves both coordinate endpoints' owning members and
 // whether they coincide.
 func (sh *ShardedIndex) coordLocate(sx, sy, tx, ty float64) (ms, mt ShardMember, same bool) {
@@ -860,14 +869,14 @@ func (sh *ShardedIndex) QueryPathPoints(s, t terrain.SurfacePoint) ([]terrain.Su
 // the owning member or the coarse level. Part of PointPathIndex.
 func (sh *ShardedIndex) QueryPathXY(sx, sy, tx, ty float64) ([]terrain.SurfacePoint, float64, error) {
 	if len(sh.members) == 1 {
-		if pi, ok := sh.members[0].Index.(PointPathIndex); ok {
+		if pi := pointPathMember(sh.members[0].Index); pi != nil {
 			return pi.QueryPathXY(sx, sy, tx, ty)
 		}
 		return nil, 0, fmt.Errorf("core: member %q (kind %s) reports no point paths", sh.members[0].Name, sh.members[0].Index.Stats().Kind)
 	}
 	ms, mt, same := sh.coordLocate(sx, sy, tx, ty)
 	if same {
-		if pi, ok := ms.Index.(PointPathIndex); ok {
+		if pi := pointPathMember(ms.Index); pi != nil {
 			return pi.QueryPathXY(sx, sy, tx, ty)
 		}
 	}

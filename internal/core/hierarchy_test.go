@@ -265,26 +265,27 @@ func TestLODWorkloadsCrossTile(t *testing.T) {
 func TestLODDeterministicEncode(t *testing.T) {
 	w := newTestWorld(t, 11, 26, 49)
 	opt := lodOpt(0.25, 50)
-	var resident, workers8, streamed bytes.Buffer
+	var resident []byte
+	for _, workers := range []int{1, 2, 3, 8} {
+		optW := opt
+		optW.Workers = workers
+		var buf bytes.Buffer
+		if err := buildLOD(t, w, 4, optW).EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			resident = buf.Bytes()
+		} else if !bytes.Equal(resident, buf.Bytes()) {
+			t.Fatalf("Workers=%d vs Workers=1 containers differ", workers)
+		}
+	}
 
-	sh := buildLOD(t, w, 4, opt)
-	if err := sh.EncodeTo(&resident); err != nil {
-		t.Fatal(err)
-	}
-	opt8 := opt
-	opt8.Workers = 8
-	if err := buildLOD(t, w, 4, opt8).EncodeTo(&workers8); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resident.Bytes(), workers8.Bytes()) {
-		t.Fatal("Workers=1 vs Workers=8 containers differ")
-	}
-
+	var streamed bytes.Buffer
 	sum, err := WriteSharded(&streamed, w.eng, w.mesh, w.pois, 4, opt)
 	if err != nil {
 		t.Fatalf("WriteSharded: %v", err)
 	}
-	if !bytes.Equal(resident.Bytes(), streamed.Bytes()) {
+	if !bytes.Equal(resident, streamed.Bytes()) {
 		t.Fatal("streamed container differs from the resident EncodeTo")
 	}
 	if sum.Points != len(w.pois) || sum.CoarseTiles != 1 || sum.Portals == 0 {

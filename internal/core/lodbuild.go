@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"seoracle/internal/geodesic"
 	"seoracle/internal/terrain"
@@ -27,9 +28,10 @@ const DefaultPortalsPerEdge = 8
 // LODOptions configures BuildShardedLOD and WriteSharded.
 type LODOptions struct {
 	// Options configures every member build (fine SE tiles and the coarse
-	// site oracles alike); the Workers/Seed determinism contract of Build
-	// holds member by member, so the whole container is byte-identical for
-	// any worker count.
+	// site oracles alike), except that Workers budgets the whole build
+	// rather than each member; the Workers/Seed determinism contract of
+	// Build holds member by member, so the whole container is
+	// byte-identical for any worker count.
 	Options
 	// Levels is the total level count including the fine grid at level 0;
 	// it must be at least 2 (each level above 0 adds one terrain-spanning
@@ -247,23 +249,42 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 	return pl, nil
 }
 
-// buildMember builds member ordinal i of the plan: a fine SE tile (over real
-// POIs + portals) or a coarse site oracle.
-func (pl *shardPlan) buildMember(eng geodesic.Engine, m *terrain.Mesh, i int, opt Options) (DistanceIndex, error) {
+// buildMember builds member ordinal i of the plan, a fine SE tile (over real
+// POIs + portals) or a coarse site oracle, with its parallel phases drawing
+// on b.
+func (pl *shardPlan) buildMember(eng geodesic.Engine, m *terrain.Mesh, i int, opt Options, b *budget) (DistanceIndex, error) {
 	if i < len(pl.tiles) {
 		t := &pl.tiles[i]
-		o, err := Build(eng, t.pois, opt)
+		o, err := build(eng, t.pois, opt, b)
 		if err != nil {
 			return nil, fmt.Errorf("core: building shard %s (%d POIs): %w", t.name, len(t.pois), err)
 		}
 		return o, nil
 	}
 	c := pl.coarse[i-len(pl.tiles)]
-	so, err := BuildSiteOracle(eng, m, SiteOptions{Options: opt, SitesPerEdge: c.sitesPerEdge})
+	so, err := buildSiteOracle(eng, m, SiteOptions{Options: opt, SitesPerEdge: c.sitesPerEdge}, b)
 	if err != nil {
 		return nil, fmt.Errorf("core: building coarse member %s: %w", c.name, err)
 	}
 	return so, nil
+}
+
+// buildOrder is the order a resident build hands members out in: the coarse
+// members first, the widest level first, since each spans the whole terrain
+// and is the longest build; then the tiles, most POIs first. The longest
+// builds thus start at once, and the shorter ones fill the slots their
+// sequential phases leave idle.
+func (pl *shardPlan) buildOrder() []int {
+	order := make([]int, 0, pl.numMembers())
+	for j := range pl.coarse {
+		order = append(order, len(pl.tiles)+j)
+	}
+	tiles := make([]int, len(pl.tiles))
+	for i := range tiles {
+		tiles[i] = i
+	}
+	sort.SliceStable(tiles, func(a, b int) bool { return len(pl.tiles[tiles[a]].pois) > len(pl.tiles[tiles[b]].pois) })
+	return append(order, tiles...)
 }
 
 // attachHier turns the plan's hierarchy arrays into the index's validated
@@ -295,8 +316,13 @@ func (pl *shardPlan) attachHier(sh *ShardedIndex) error {
 // BuildShardedSE augmented with boundary portals on shared tile edges, plus
 // opt.Levels-1 coarse A2A members spanning the whole terrain (long-range
 // cross-tile queries route to them; short-range straddling pairs stitch
-// through the portals — see hierarchy.go). With opt.Levels <= 1 it degrades
-// to exactly BuildShardedSE.
+// through the portals — see hierarchy.go). With opt.Levels <= 1 it builds
+// the plain tile grid, which is what BuildShardedSE returns.
+//
+// The members build concurrently under one worker budget of opt.Workers:
+// the member fan-out and every member's inner phases draw on the same
+// slots, so no more than opt.Workers SSADs ever run at once, and a slot a
+// finished member frees joins a member still building (see buildOrder).
 //
 // Like every build in this package the output is deterministic for any
 // opt.Workers: tile membership and portal placement are pure functions of the
@@ -308,21 +334,13 @@ func BuildShardedLOD(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.Surfac
 		return nil, err
 	}
 	n := pl.numMembers()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	// Split the worker budget between the member fan-out and each member's
-	// inner build phases, as BuildShardedSE does.
-	innerOpt := opt.Options
-	innerOpt.Workers = workers / n
-	if innerOpt.Workers < 1 {
-		innerOpt.Workers = 1
-	}
+	b := newBudget(opt.Workers)
+	order := pl.buildOrder()
 	built := make([]DistanceIndex, n)
 	errs := make([]error, n)
-	parfor(workers, n, func(i int) {
-		built[i], errs[i] = pl.buildMember(eng, m, i, innerOpt)
+	b.parfor(n, func(k int) {
+		i := order[k]
+		built[i], errs[i] = pl.buildMember(eng, m, i, opt.Options, b)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -367,9 +385,9 @@ type ShardedBuildSummary struct {
 // index resident (BuildShardedLOD, EncodeTo) would produce: fine tiles in
 // the flat layout, coarse members as a2a.
 //
-// The tiles are built sequentially, each with the full opt.Workers
-// parallelism inside; since every member build is deterministic for any
-// worker count, the sequential schedule changes nothing but peak memory.
+// The members are built one after another, each with the full opt.Workers
+// budget inside; since every member build is deterministic for any worker
+// count, the sequential schedule changes nothing but peak memory.
 func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt LODOptions) (ShardedBuildSummary, error) {
 	var sum ShardedBuildSummary
 	pl, err := planSharded(m, pois, shards, opt)
@@ -409,8 +427,9 @@ func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terr
 	if err := cw.section(meshSection(secMesh, m)); err != nil {
 		return sum, err
 	}
+	b := newBudget(opt.Workers)
 	for i := 0; i < n; i++ {
-		idx, err := pl.buildMember(eng, m, i, opt.Options)
+		idx, err := pl.buildMember(eng, m, i, opt.Options, b)
 		if err != nil {
 			return sum, err
 		}

@@ -74,15 +74,17 @@ type Oracle struct {
 // Build constructs an SE oracle over the POIs of a terrain using eng as the
 // SSAD primitive.
 func Build(eng geodesic.Engine, pois []terrain.SurfacePoint, opt Options) (*Oracle, error) {
+	return build(eng, pois, opt, newBudget(opt.Workers))
+}
+
+// build is Build with its parallel phases drawing on b, which a multi-member
+// build shares across members; opt.Workers is not read.
+func build(eng geodesic.Engine, pois []terrain.SurfacePoint, opt Options, b *budget) (*Oracle, error) {
 	if opt.Epsilon <= 0 {
 		return nil, fmt.Errorf("core: epsilon must be positive, got %g", opt.Epsilon)
 	}
 	if len(pois) == 0 {
 		return nil, fmt.Errorf("core: no POIs")
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
 	}
 	var stats BuildStats
 	var ctr buildCounters
@@ -102,11 +104,11 @@ func Build(eng geodesic.Engine, pois []terrain.SurfacePoint, opt Options) (*Orac
 	t1 := time.Now()
 	var res *pairResolver
 	if opt.NaivePairDistances {
-		res = newPairResolver(counting, t, ct, pois, map[uint64]float64{}, &ctr, workers)
+		res = newPairResolver(counting, t, ct, pois, map[uint64]float64{}, &ctr, b)
 	} else {
-		edges := enhancedEdges(counting, t, pois, opt.Epsilon, workers)
+		edges := enhancedEdges(counting, t, pois, opt.Epsilon, b)
 		stats.EnhancedEdges = len(edges)
-		res = newPairResolver(counting, t, ct, pois, edges, &ctr, workers)
+		res = newPairResolver(counting, t, ct, pois, edges, &ctr, b)
 	}
 	stats.EdgeTime = time.Since(t1)
 

@@ -24,15 +24,15 @@ func packPair(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(
 // targets, so each node reads its center's row filtered by its own reach
 // and gets the bits a per-node SSAD would.
 //
-// The SSADs fan out across the worker pool. Each worker trims its dense
-// row before taking the next center, keeping POI p at distance d only if
-// some layer's merge can read it: d within the reach of the shallowest
-// layer on which p and the center are both centers. So the resident rows
-// hold no more entries than the map they feed. The merge runs on the
-// calling goroutine, layer by layer and in node-id order within a layer —
-// the same insertion (and overwrite) order as a per-node pass, so the
-// index is identical for every worker count.
-func enhancedEdges(eng geodesic.Engine, t *ptree, pois []terrain.SurfacePoint, eps float64, workers int) map[uint64]float64 {
+// The SSADs fan out across the build's worker budget. Each worker trims
+// its dense row before taking the next center, keeping POI p at distance d
+// only if some layer's merge can read it: d within the reach of the
+// shallowest layer on which p and the center are both centers. So the
+// resident rows hold no more entries than the map they feed. The merge
+// runs on the calling goroutine, layer by layer and in node-id order within
+// a layer — the same insertion (and overwrite) order as a per-node pass, so
+// the index is identical for every worker count.
+func enhancedEdges(eng geodesic.Engine, t *ptree, pois []terrain.SurfacePoint, eps float64, b *budget) map[uint64]float64 {
 	l := 8/eps + 10
 	edges := make(map[uint64]float64)
 	// The root's enhanced edge is its self-loop; still record it so pair
@@ -55,7 +55,7 @@ func enhancedEdges(eng geodesic.Engine, t *ptree, pois []terrain.SurfacePoint, e
 		}
 	}
 	rows := make([][]rowEntry, len(pois))
-	parfor(workers, len(centers), func(k int) {
+	b.parfor(len(centers), func(k int) {
 		c := centers[k]
 		d := eng.DistancesTo(pois[c], pois, geodesic.Stop{Radius: reach[c]})
 		var row []rowEntry
@@ -104,17 +104,17 @@ type rowEntry struct {
 //
 // resolve is pure with respect to the resolver's shared state (it only
 // reads the tree and the edge index, and the engine is concurrency-safe),
-// so prefetch may fan resolutions out across the worker pool. The cache is
-// written exclusively on the generatePairs goroutine.
+// so prefetch may fan resolutions out across the worker budget. The cache
+// is written exclusively on the generatePairs goroutine.
 type pairResolver struct {
-	t       *ptree
-	c       *ctree
-	pois    []terrain.SurfacePoint
-	edges   map[uint64]float64
-	eng     geodesic.Engine
-	ctr     *buildCounters
-	cache   map[uint64]float64 // center-pair distance cache
-	workers int
+	t      *ptree
+	c      *ctree
+	pois   []terrain.SurfacePoint
+	edges  map[uint64]float64
+	eng    geodesic.Engine
+	ctr    *buildCounters
+	cache  map[uint64]float64 // center-pair distance cache
+	budget *budget
 	// prefetching is enabled only for the naive construction (empty edge
 	// index), where every resolution is a full SSAD worth batching. With
 	// the enhanced-edge index, resolve is a cheap map walk (Lemma 4 says
@@ -123,12 +123,12 @@ type pairResolver struct {
 	prefetching bool
 }
 
-func newPairResolver(eng geodesic.Engine, t *ptree, c *ctree, pois []terrain.SurfacePoint, edges map[uint64]float64, ctr *buildCounters, workers int) *pairResolver {
+func newPairResolver(eng geodesic.Engine, t *ptree, c *ctree, pois []terrain.SurfacePoint, edges map[uint64]float64, ctr *buildCounters, b *budget) *pairResolver {
 	return &pairResolver{
 		t: t, c: c, pois: pois, edges: edges, eng: eng, ctr: ctr,
 		cache:       make(map[uint64]float64),
-		workers:     workers,
-		prefetching: workers > 1 && len(edges) == 0,
+		budget:      b,
+		prefetching: b.parallel() && len(edges) == 0,
 	}
 }
 
@@ -161,7 +161,7 @@ func (pr *pairResolver) cached(a, b int32) bool {
 	return ok
 }
 
-// prefetch resolves, across the worker pool, every uncached center-pair
+// prefetch resolves, across the worker budget, every uncached center-pair
 // distance the pending pairs will need, then fills the cache in
 // deterministic (first-occurrence) order. Every pending pair is eventually
 // popped and resolved by generatePairs, so prefetch performs exactly the
@@ -189,7 +189,7 @@ func (pr *pairResolver) prefetch(pending [][2]int32) {
 		return
 	}
 	out := make([]float64, len(jobs))
-	parfor(pr.workers, len(jobs), func(i int) {
+	pr.budget.parfor(len(jobs), func(i int) {
 		out[i] = pr.resolve(jobs[i].ca, jobs[i].cb)
 	})
 	for i, j := range jobs {

@@ -83,7 +83,7 @@ func TestEnhancedEdgesMatchPerNodeReference(t *testing.T) {
 				for _, workers := range []int{1, 8} {
 					name := fmt.Sprintf("%s/%s/eps=%g/workers=%d", tc.name, sel, eps, workers)
 					var calls atomic.Int64
-					got := enhancedEdges(&countingEngine{Engine: eng, calls: &calls}, tr, pois, eps, workers)
+					got := enhancedEdges(&countingEngine{Engine: eng, calls: &calls}, tr, pois, eps, newBudget(workers))
 					if len(got) != len(want) {
 						t.Errorf("%s: %d edges, reference %d", name, len(got), len(want))
 					}
@@ -104,15 +104,15 @@ func TestEnhancedEdgesMatchPerNodeReference(t *testing.T) {
 	}
 }
 
-// An efficient build runs one partition-tree SSAD per tree node and one
-// enhanced-edge SSAD per center, never one per node pair or per tree node
-// twice over.
+// An efficient build runs one partition-tree SSAD per distinct center plus
+// the root's (at most n+1) and one enhanced-edge SSAD per center (at most
+// n), never one per tree node or per node pair.
 func TestBuildSSADCount(t *testing.T) {
 	w := newTestWorld(t, 13, 40, 47)
 	for _, eps := range []float64{0.1, 0.25} {
 		st := w.build(t, Options{Epsilon: eps, Seed: 48}).BuildStats()
-		if bound := st.TreeNodes + len(w.pois); st.SSADCalls > bound {
-			t.Errorf("eps=%g: %d SSADs > TreeNodes %d + POIs %d", eps, st.SSADCalls, st.TreeNodes, len(w.pois))
+		if bound := 2*len(w.pois) + 1; st.SSADCalls > bound {
+			t.Errorf("eps=%g: %d SSADs > 2·POIs+1 = %d (TreeNodes %d)", eps, st.SSADCalls, bound, st.TreeNodes)
 		}
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"seoracle/internal/gen"
 	"seoracle/internal/geodesic"
+	"seoracle/internal/terrain"
 )
 
 // The determinism contract of Options.Workers: every worker count must
@@ -184,6 +186,80 @@ func TestParforCoversAllIndices(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, h)
 				}
 			}
+		}
+	}
+}
+
+// budget.parfor must run every index exactly once, nested or not, and never
+// run more than the budget's worker count at once.
+func TestBudgetParforCoversAllIndicesWithinBudget(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, 7, 64} {
+			b := newBudget(workers)
+			var inside peakCounter
+			hits := make([]int32, n*n)
+			b.parfor(n, func(i int) {
+				b.parfor(n, func(j int) {
+					inside.enter()
+					hits[i*n+j]++
+					inside.leave()
+				})
+			})
+			for k, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, k, h)
+				}
+			}
+			if p := inside.peak.Load(); p > int64(workers) {
+				t.Fatalf("workers=%d n=%d: %d items ran at once", workers, n, p)
+			}
+		}
+	}
+}
+
+// peakCounter tracks how many goroutines are inside a section at once and
+// keeps the peak.
+type peakCounter struct{ running, peak atomic.Int64 }
+
+func (c *peakCounter) enter() {
+	cur := c.running.Add(1)
+	for m := c.peak.Load(); cur > m && !c.peak.CompareAndSwap(m, cur); m = c.peak.Load() {
+	}
+}
+
+func (c *peakCounter) leave() { c.running.Add(-1) }
+
+// inflightEngine counts the DistancesTo calls running at once.
+type inflightEngine struct {
+	geodesic.Engine
+	peakCounter
+}
+
+func (e *inflightEngine) DistancesTo(src terrain.SurfacePoint, targets []terrain.SurfacePoint, stop geodesic.Stop) []float64 {
+	e.enter()
+	defer e.leave()
+	return e.Engine.DistancesTo(src, targets, stop)
+}
+
+// A sharded build shares one worker budget across its members and their
+// inner phases: it never runs more than Workers SSADs at once.
+func TestShardedBuildsStayWithinWorkerBudget(t *testing.T) {
+	w := newTestWorld(t, 9, 30, 91)
+	for _, workers := range []int{1, 2, 3} {
+		opt := LODOptions{Options: Options{Epsilon: 0.3, Seed: 92, Workers: workers}, Levels: 2, SitesPerEdge: 1}
+		eng := &inflightEngine{Engine: w.eng}
+		if _, err := BuildShardedLOD(eng, w.mesh, w.pois, 4, opt); err != nil {
+			t.Fatalf("workers=%d: BuildShardedLOD: %v", workers, err)
+		}
+		if p := eng.peak.Load(); p > int64(workers) {
+			t.Errorf("workers=%d: BuildShardedLOD ran %d SSADs at once", workers, p)
+		}
+		eng = &inflightEngine{Engine: w.eng}
+		if _, err := BuildShardedSE(eng, w.mesh, w.pois, 4, opt.Options); err != nil {
+			t.Fatalf("workers=%d: BuildShardedSE: %v", workers, err)
+		}
+		if p := eng.peak.Load(); p > int64(workers) {
+			t.Errorf("workers=%d: BuildShardedSE ran %d SSADs at once", workers, p)
 		}
 	}
 }

@@ -63,6 +63,18 @@ type ptree struct {
 }
 
 // buildPartitionTree runs the top-down construction of §3.2.
+//
+// It runs one SSAD for the root and one per distinct center. A center stays
+// a center on every deeper layer (previous-layer centers are consumed
+// first, and they lie more than twice the new radius apart, so none covers
+// another), and its disk-and-parent SSAD on layer i only needs the POIs
+// within 2·rᵢ. So a center's first SSAD, on its shallowest layer i,
+// targets every POI within radius 2·rᵢ, and the row is kept trimmed to that
+// radius; each deeper layer j reads the row filtered by its own radius
+// 2·rⱼ, an entry beyond it counting as +Inf. A target's distance within a
+// radius depends neither on a larger radius nor on the other targets, so
+// every layer sees the bits a per-node SSAD over the remaining POIs and the
+// previous centers would have returned, and the tree is the same.
 func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Selection, seed int64) (*ptree, error) {
 	n := len(pois)
 	if n == 0 {
@@ -97,6 +109,16 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 	// layer 1 that is the root, whose disk covers every POI.
 	coveredBy := make([]int32, n)
 	nextCoveredBy := make([]int32, n)
+	// rows[c] is center c's SSAD row, trimmed to the radius of its first
+	// layer; nil until c first centers a node. dist is the current center's
+	// row scattered over every POI (+Inf outside the layer's radius), reset
+	// after each center.
+	rows := make([][]rowEntry, n)
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	var idx []int32
 
 	// Step 2: non-root layers.
 	for layer := int32(1); ; layer++ {
@@ -104,18 +126,8 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 			return nil, fmt.Errorf("core: partition tree exceeded %d layers; are POIs deduplicated?", maxLayers)
 		}
 		ri := r0 / math.Pow(2, float64(layer))
+		reach := 2 * ri * (1 + 1e-12)
 		prev := t.layers[layer-1]
-		prevCenterSet := make(map[int32]int32, len(prev)) // POI -> prev node id
-		prevCenters := make([]int32, 0, len(prev))
-		for _, id := range prev {
-			c := t.nodes[id].center
-			prevCenterSet[c] = id
-			prevCenters = append(prevCenters, c)
-		}
-		prevPts := make([]terrain.SurfacePoint, len(prevCenters))
-		for i, c := range prevCenters {
-			prevPts[i] = pois[c]
-		}
 
 		rem := newRemaining(n, rng)
 		var grid *selectionGrid
@@ -123,7 +135,10 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 			grid = newSelectionGrid(pois, ri, rng)
 		}
 		// Previous-layer centers are consumed first (PC = P' ∩ C).
-		pcQueue := append([]int32(nil), prevCenters...)
+		pcQueue := make([]int32, len(prev))
+		for i, id := range prev {
+			pcQueue[i] = t.nodes[id].center
+		}
 		rng.Shuffle(len(pcQueue), func(i, j int) { pcQueue[i], pcQueue[j] = pcQueue[j], pcQueue[i] })
 
 		var layerNodes []int32
@@ -145,25 +160,31 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 				}
 			}
 
-			// One radius-bounded SSAD covers both needs: POIs within ri
+			// One radius-bounded SSAD row covers both needs: POIs within ri
 			// (the new disk) and the nearest previous-layer center (the
 			// parent; within 2*ri by the Covering Property).
-			targets := make([]terrain.SurfacePoint, 0, rem.size+len(prevPts))
-			idx := make([]int32, 0, rem.size)
-			for _, q := range rem.items() {
-				targets = append(targets, pois[q])
-				idx = append(idx, q)
+			if rows[p] == nil {
+				row := []rowEntry{}
+				for q, x := range eng.DistancesTo(pois[p], pois, geodesic.Stop{Radius: reach}) {
+					if x <= reach {
+						row = append(row, rowEntry{poi: int32(q), d: x})
+					}
+				}
+				rows[p] = row
 			}
-			targets = append(targets, prevPts...)
-			dist := eng.DistancesTo(pois[p], targets, geodesic.Stop{Radius: 2 * ri * (1 + 1e-12), CoverTargets: false})
+			for _, e := range rows[p] {
+				if e.d <= reach {
+					dist[e.poi] = e.d
+				}
+			}
 
 			// Parent: minimum-distance previous-layer node.
 			bestParent := int32(-1)
 			bestD := math.Inf(1)
-			for i := range prevCenters {
-				if dd := dist[len(idx)+i]; dd < bestD {
+			for _, id := range prev {
+				if dd := dist[t.nodes[id].center]; dd < bestD {
 					bestD = dd
-					bestParent = prevCenterSet[prevCenters[i]]
+					bestParent = id
 				}
 			}
 			if bestParent < 0 {
@@ -178,9 +199,10 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 			t.nodes = append(t.nodes, onode{center: p, layer: layer, parent: bestParent, radius: ri})
 			layerNodes = append(layerNodes, id)
 
-			// Remove covered POIs.
-			for i, q := range idx {
-				if dist[i] <= ri {
+			// Remove covered POIs, in the remaining set's order.
+			idx = append(idx[:0], rem.items()...)
+			for _, q := range idx {
+				if dist[q] <= ri {
 					nextCoveredBy[q] = id
 					rem.remove(q)
 					if grid != nil {
@@ -196,6 +218,9 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 				if grid != nil {
 					grid.remove(p)
 				}
+			}
+			for _, e := range rows[p] {
+				dist[e.poi] = math.Inf(1)
 			}
 		}
 		t.layers = append(t.layers, layerNodes)

@@ -11,10 +11,10 @@ func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // parfor runs fn(i) for every i in [0, n) using at most workers goroutines.
 // workers <= 1 (or n == 1) degenerates to a plain loop on the calling
-// goroutine, so a Workers: 1 build never spawns a goroutine.
+// goroutine. It serves the query-side fan-outs; construction shares one
+// budget across its phases instead (see budget.parfor).
 //
-// parfor is the determinism backbone of the parallel construction phases:
-// callers write results into index-addressed slices and merge them on the
+// Callers write results into index-addressed slices and merge them on the
 // calling goroutine after parfor returns, in the same order the sequential
 // code would have produced them. Work is handed out through an atomic
 // counter, so the only nondeterminism is *which goroutine* computes an
@@ -49,6 +49,72 @@ func parfor(workers, n int, fn func(i int)) {
 	}
 	wg.Wait()
 }
+
+// budget is one build's worker budget: the goroutine that starts the build
+// plus at most workers-1 helpers, shared by every parallel phase of every
+// member however they nest. A goroutine runs build work only while it holds
+// a slot (the starting goroutine holds one implicitly), so a build never
+// runs more than workers SSADs at once, and a slot one phase gives back is
+// taken up by whichever phase claims its next item first.
+type budget struct {
+	helpers chan struct{} // one token per running helper goroutine
+}
+
+// newBudget returns the budget of a build with the given worker count
+// (0 means defaultWorkers).
+func newBudget(workers int) *budget {
+	if workers <= 0 {
+		workers = defaultWorkers()
+	}
+	return &budget{helpers: make(chan struct{}, workers-1)}
+}
+
+// parallel reports whether the budget can ever run two goroutines at once.
+func (b *budget) parallel() bool { return cap(b.helpers) > 0 }
+
+// parfor runs fn(i) for every i in [0, n) on the calling goroutine and any
+// helpers the budget can spare. Each claim of an item recruits one more
+// helper when a slot is free and items remain, so helpers join as other
+// phases release their slots; a helper leaves, returning its slot, when no
+// item is left. A budget of one worker never spawns a goroutine.
+//
+// The determinism contract is parfor's: results go into index-addressed
+// slices, and only which goroutine computes an index varies.
+func (b *budget) parfor(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	var work func()
+	work = func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if i+1 < n && b.tryAcquire() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer b.release()
+					work()
+				}()
+			}
+			fn(i)
+		}
+	}
+	work()
+	wg.Wait()
+}
+
+func (b *budget) tryAcquire() bool {
+	select {
+	case b.helpers <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+func (b *budget) release() { <-b.helpers }
 
 // buildCounters aggregates the construction counters that parallel phases
 // update concurrently. Build snapshots them into the plain-int BuildStats

@@ -726,10 +726,11 @@ func tileIndex(v, min, span float64, k int) int {
 
 // BuildShardedSE tiles the terrain's planar bounding box into a shards-tile
 // grid, partitions the POIs by tile, and builds one SE oracle per non-empty
-// tile — in parallel across tiles through the same bounded worker pool the
-// single-oracle build phases use. Tiles that received no POIs are dropped
-// (an SE oracle cannot be empty); their region still routes, because Locate
-// falls back to the planar-closest member bbox.
+// tile. It is the plain plan of BuildShardedLOD (no portals, no coarse
+// level): the tiles build concurrently under one worker budget of
+// opt.Workers. Tiles that received no POIs are dropped (an SE oracle cannot
+// be empty); their region still routes, because Locate falls back to the
+// planar-closest member bbox.
 //
 // Every member build is deterministic regardless of opt.Workers (the Build
 // contract), tile membership is a pure function of POI coordinates, and
@@ -739,76 +740,7 @@ func tileIndex(v, min, span float64, k int) int {
 // Member names are "tile-<col>-<row>"; each member's manifest bbox is its
 // full tile rectangle (edge tiles extend to the terrain bounds).
 func BuildShardedSE(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt Options) (*ShardedIndex, error) {
-	if shards < 1 || shards > maxShardMembers {
-		return nil, fmt.Errorf("core: shard count %d out of range [1,%d]", shards, maxShardMembers)
-	}
-	if len(pois) == 0 {
-		return nil, fmt.Errorf("core: no POIs")
-	}
-	st := m.ComputeStats()
-	minX, minY := st.BBoxMin.X, st.BBoxMin.Y
-	spanX, spanY := st.BBoxMax.X-minX, st.BBoxMax.Y-minY
-	kx, ky := shardGrid(shards)
-
-	buckets := make([][]terrain.SurfacePoint, kx*ky)
-	for _, p := range pois {
-		ix := tileIndex(p.P.X, minX, spanX, kx)
-		iy := tileIndex(p.P.Y, minY, spanY, ky)
-		buckets[iy*kx+ix] = append(buckets[iy*kx+ix], p)
-	}
-
-	type tile struct {
-		name string
-		bbox BBox2D
-		pois []terrain.SurfacePoint
-	}
-	var tiles []tile
-	for iy := 0; iy < ky; iy++ {
-		for ix := 0; ix < kx; ix++ {
-			pts := buckets[iy*kx+ix]
-			if len(pts) == 0 {
-				continue
-			}
-			tiles = append(tiles, tile{
-				name: fmt.Sprintf("tile-%d-%d", ix, iy),
-				bbox: BBox2D{
-					MinX: minX + spanX*float64(ix)/float64(kx),
-					MinY: minY + spanY*float64(iy)/float64(ky),
-					MaxX: minX + spanX*float64(ix+1)/float64(kx),
-					MaxY: minY + spanY*float64(iy+1)/float64(ky),
-				},
-				pois: pts,
-			})
-		}
-	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	// Split the worker budget between the tile fan-out and each tile's
-	// inner build phases, so total goroutines stay ~workers instead of
-	// workers² (output is byte-identical either way).
-	innerOpt := opt
-	innerOpt.Workers = workers / len(tiles)
-	if innerOpt.Workers < 1 {
-		innerOpt.Workers = 1
-	}
-	built := make([]DistanceIndex, len(tiles))
-	errs := make([]error, len(tiles))
-	parfor(workers, len(tiles), func(i int) {
-		built[i], errs[i] = Build(eng, tiles[i].pois, innerOpt)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: building shard %s (%d POIs): %w", tiles[i].name, len(tiles[i].pois), err)
-		}
-	}
-	members := make([]ShardMember, len(tiles))
-	for i, tl := range tiles {
-		members[i] = ShardMember{Name: tl.name, BBox: tl.bbox, Index: built[i]}
-	}
-	return NewShardedIndex(members)
+	return BuildShardedLOD(eng, m, pois, shards, LODOptions{Options: opt})
 }
 
 // NearestAcross returns the globally nearest indexed endpoint over every

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"seoracle/internal/core"
+	"seoracle/internal/gen"
+	"seoracle/internal/geodesic"
 )
 
 // lodWorld builds a 2-level hierarchical sharded index (4 fine tiles, one
@@ -330,5 +332,112 @@ func TestMemberFault503(t *testing.T) {
 	}
 	if !strings.Contains(er.Error, "tile-0-0") {
 		t.Fatalf("fault error must name the member, got %q", er.Error)
+	}
+}
+
+// Every unnamed coordinate pair on a LOD container routes through the multi
+// root, so a pair whose endpoints share a fine tile is answered (by the
+// coarse level) instead of 400 from the SE tile, which answers no point
+// queries. Over HTTP, in eager, budgeted and mmap loads, every answer is 200
+// and equals ShardedIndex.QueryXY / QueryPathXY bit for bit.
+func TestLODCoordinatePairsMatchCore(t *testing.T) {
+	m, err := gen.Fractal(gen.FractalSpec{NX: 11, NY: 11, CellDX: 10, Amp: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pois, err := gen.UniformPOIs(m, 30, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := core.BuildShardedLOD(geodesic.NewExact(m), m, gen.Dedup(pois, 1e-9), 4, core.LODOptions{
+		Options: core.Options{Epsilon: 0.25, Seed: 3}, Levels: 2, SitesPerEdge: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lod.sedx")
+	var buf bytes.Buffer
+	if err := sh.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	pairs := [][4]float64{
+		{10, 10, 20, 15}, {12.5, 31, 40, 7}, // same tile
+		{60, 60, 90, 75}, {55.25, 88, 97, 52}, // same tile
+		{10, 10, 90, 90}, {45, 20, 55, 20}, {20, 80, 80, 20}, // straddling
+	}
+	same := 0
+	for _, p := range pairs {
+		ms, _ := sh.Locate(p[0], p[1])
+		mt, _ := sh.Locate(p[2], p[3])
+		if ms.Name == mt.Name {
+			same++
+		}
+	}
+	if same < 4 {
+		t.Fatalf("only %d of the pairs share a tile, want 4", same)
+	}
+
+	for _, mode := range []struct {
+		name string
+		mmap bool
+		opt  core.LoadOptions
+	}{{"eager", false, core.LoadOptions{}}, {"budgeted", false, core.LoadOptions{MemBudget: 1}}, {"mmap", true, core.LoadOptions{}}} {
+		idx, _, err := LoadIndexOpts(path, mode.mmap, mode.opt)
+		if err != nil {
+			t.Fatalf("%s: load: %v", mode.name, err)
+		}
+		ts := httptest.NewServer(New(idx).Handler())
+		for _, p := range pairs {
+			q := fmt.Sprintf("sx=%g&sy=%g&tx=%g&ty=%g", p[0], p[1], p[2], p[3])
+			want, err := sh.QueryXY(p[0], p[1], p[2], p[3])
+			if err != nil {
+				t.Fatalf("%s %s: core QueryXY: %v", mode.name, q, err)
+			}
+			var qr struct {
+				Distance float64 `json:"distance"`
+				Error    string  `json:"error"`
+			}
+			if code := get(t, ts, "/v1/query?"+q, &qr); code != 200 || qr.Distance != want {
+				t.Errorf("%s /v1/query?%s = %d %+v, want 200 distance %v", mode.name, q, code, qr, want)
+			}
+			_, wantPD, err := sh.QueryPathXY(p[0], p[1], p[2], p[3])
+			if err != nil {
+				t.Fatalf("%s %s: core QueryPathXY: %v", mode.name, q, err)
+			}
+			var pr struct {
+				Properties struct {
+					Distance float64 `json:"distance"`
+				} `json:"properties"`
+				Error string `json:"error"`
+			}
+			if code := get(t, ts, "/v1/path?"+q, &pr); code != 200 || pr.Properties.Distance != wantPD {
+				t.Errorf("%s /v1/path?%s = %d %+v, want 200 distance %v", mode.name, q, code, pr, wantPD)
+			}
+		}
+		ts.Close()
+		if c, ok := idx.(interface{ Close() error }); ok {
+			c.Close()
+		}
+	}
+
+	// On a multi with no coarse level, a same-tile coordinate pair has no
+	// member that answers points: a 4xx from core's error, never a 5xx.
+	plain, err := core.BuildShardedSE(geodesic.NewExact(m), m, gen.Dedup(pois, 1e-9), 4, core.Options{Epsilon: 0.25, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(plain).Handler())
+	defer ts.Close()
+	for _, ep := range []string{"/v1/query", "/v1/path"} {
+		var er struct {
+			Error string `json:"error"`
+		}
+		if code := get(t, ts, ep+"?sx=10&sy=10&tx=20&ty=15", &er); code < 400 || code >= 500 {
+			t.Errorf("non-LOD multi same-tile %s = %d (%q), want 4xx", ep, code, er.Error)
+		}
 	}
 }

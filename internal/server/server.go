@@ -510,17 +510,10 @@ func (s *Server) resolve(ep *epoch, name string, x, y *float64) (*target, int, s
 		// bbox — so a coordinate a single un-sharded index would answer never
 		// strands between tiles. Off-terrain points still fail inside the
 		// member (e.g. Project errors), exactly as on a single-index server.
-		m, contained := ep.sharded.Locate(*x, *y)
-		if !contained {
-			// No healthy member owns the point; if a quarantined tile does,
-			// the honest answer is "unavailable", not the nearest survivor.
-			for _, q := range ep.quarantined {
-				if bboxContains(q.BBox, *x, *y) {
-					return nil, http.StatusServiceUnavailable, fmt.Sprintf(
-						"the tile owning (%g,%g) (%q) is quarantined (degraded load: %v)", *x, *y, q.Name, q.Err)
-				}
-			}
+		if status, msg := ep.quarantinedAt(*x, *y); status != 0 {
+			return nil, status, msg
 		}
+		m, _ := ep.sharded.Locate(*x, *y)
 		return ep.byName[m.Name], 0, ""
 	}
 	if ep.global != nil {
@@ -534,18 +527,35 @@ func (s *Server) resolve(ep *epoch, name string, x, y *float64) (*target, int, s
 		strings.Join(ep.memberNames(), ", "))
 }
 
+// quarantinedAt answers 503 for a point a quarantined tile contains and no
+// healthy member does: the honest answer is "unavailable", not the nearest
+// survivor's. It returns status 0 otherwise.
+func (ep *epoch) quarantinedAt(x, y float64) (int, string) {
+	for _, q := range ep.quarantined {
+		if bboxContains(q.BBox, x, y) {
+			if _, contained := ep.sharded.Locate(x, y); contained {
+				return 0, ""
+			}
+			return http.StatusServiceUnavailable, fmt.Sprintf(
+				"the tile owning (%g,%g) (%q) is quarantined (degraded load: %v)", x, y, q.Name, q.Err)
+		}
+	}
+	return 0, ""
+}
+
 // resolveXY is resolve for coordinate-pair requests (both endpoints known):
-// an explicit name still wins, but on a hierarchical multi an unnamed pair
-// whose endpoints land in different member tiles routes through the global
-// cross-tile router (portal stitching or the coarse level) instead of the
-// source member, which could not see the far endpoint.
+// an explicit name still wins, but on a multi an unnamed pair goes to the
+// multi root, whose QueryXY/QueryPathXY picks the route (the owning member,
+// the coarse level, or a structured error) and so decides the status. An
+// endpoint only a quarantined tile contains still answers 503.
 func (s *Server) resolveXY(ep *epoch, name string, sx, sy, tx, ty *float64) (*target, int, string) {
 	if name == "" && ep.cross != nil && sx != nil && sy != nil && tx != nil && ty != nil {
-		ms, _ := ep.sharded.Locate(*sx, *sy)
-		mt, _ := ep.sharded.Locate(*tx, *ty)
-		if ms.Name != mt.Name {
-			return ep.cross, 0, ""
+		for _, p := range [2][2]float64{{*sx, *sy}, {*tx, *ty}} {
+			if status, msg := ep.quarantinedAt(p[0], p[1]); status != 0 {
+				return nil, status, msg
+			}
 		}
+		return ep.cross, 0, ""
 	}
 	return s.resolve(ep, name, sx, sy)
 }

@@ -233,8 +233,9 @@ type ShardMember = core.ShardMember
 
 // BuildSharded tiles the terrain's planar bounding box into a shards-tile
 // grid and builds one SE oracle per non-empty tile (in parallel across
-// tiles; byte-identical output for any opt.Workers). Member ids are local
-// to each member.
+// tiles, under one budget of opt.Workers goroutines for the whole build;
+// byte-identical output for any opt.Workers). Member ids are local to each
+// member.
 func BuildSharded(t *Terrain, pois []SurfacePoint, shards int, opt Options) (*ShardedIndex, error) {
 	return core.BuildShardedSE(geodesic.NewExact(t), t, pois, shards, opt)
 }
