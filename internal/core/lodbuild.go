@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"seoracle/internal/geodesic"
 	"seoracle/internal/terrain"
@@ -271,20 +270,18 @@ func (pl *shardPlan) buildMember(eng geodesic.Engine, m *terrain.Mesh, i int, op
 
 // buildOrder is the order a resident build hands members out in: the coarse
 // members first, the widest level first, since each spans the whole terrain
-// and is the longest build; then the tiles, most POIs first. The longest
-// builds thus start at once, and the shorter ones fill the slots their
-// sequential phases leave idle.
+// and is the longest build; then the tiles in manifest order. The longest
+// builds thus start at once, and the tiles fill the slots their sequential
+// phases leave idle.
 func (pl *shardPlan) buildOrder() []int {
 	order := make([]int, 0, pl.numMembers())
 	for j := range pl.coarse {
 		order = append(order, len(pl.tiles)+j)
 	}
-	tiles := make([]int, len(pl.tiles))
-	for i := range tiles {
-		tiles[i] = i
+	for i := range pl.tiles {
+		order = append(order, i)
 	}
-	sort.SliceStable(tiles, func(a, b int) bool { return len(pl.tiles[tiles[a]].pois) > len(pl.tiles[tiles[b]].pois) })
-	return append(order, tiles...)
+	return order
 }
 
 // attachHier turns the plan's hierarchy arrays into the index's validated
