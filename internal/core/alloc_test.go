@@ -40,6 +40,47 @@ func TestQueryZeroAllocs(t *testing.T) {
 	}
 }
 
+// A routed id query on a resident hierarchical index is the multi serving
+// hot path: routing decides same-tile or portal stitch on the stack, so a
+// warmed same-tile pair and a portal pair are both allocation-free.
+func TestRoutedQueryZeroAllocs(t *testing.T) {
+	w := newTestWorld(t, 11, 30, 43)
+	sh := buildLOD(t, w, 4, lodOpt(0.2, 44))
+	pairs := map[routeKind][2]int32{}
+	n := int32(sh.NumGlobalIDs())
+	for s := int32(0); s < n; s++ {
+		for q := s + 1; q < n; q++ {
+			var r route
+			if err := sh.route(&r, s, q, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, seen := pairs[r.kind]; !seen {
+				pairs[r.kind] = [2]int32{s, q}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		kind routeKind
+	}{{"same-tile", routeMember}, {"portal", routePortal}} {
+		p, ok := pairs[tc.kind]
+		if !ok {
+			t.Fatalf("no %s pair among %d global ids", tc.name, n)
+		}
+		if _, err := sh.Query(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(500, func() {
+			if _, err := sh.Query(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s Query(%d,%d) allocates %v times per call, want 0", tc.name, p[0], p[1], avg)
+		}
+	}
+}
+
 // QueryBatch with a preallocated destination is the bulk serving surface;
 // it must stay allocation-free end to end.
 func TestQueryBatchZeroAllocs(t *testing.T) {

@@ -430,175 +430,206 @@ func (sh *ShardedIndex) globalPoint(id int32) terrain.SurfacePoint {
 	return p
 }
 
-// coarseFor picks the coarse member answering a cross-tile query of the
-// given planar span: the finest coarse level, stepping to coarser ones when
-// the span is several tile diagonals (level selection by query span), and
-// skipping quarantined coarse members. The resolved member must be a
-// PointIndex (the a2a capability); lazy members fault on first use.
-func (sh *ShardedIndex) coarseFor(span float64) (PointIndex, error) {
-	h := sh.hier
-	if len(h.coarseOrd) == 0 {
-		return nil, fmt.Errorf("core: multi index has no coarse level")
+// --- routing ------------------------------------------------------------------
+//
+// Every pair query on a multi index — ids or planar coordinates, distance or
+// path — is answered in two steps: route names how the pair is answered, and
+// answer runs that route. There are three routes:
+//
+//   - routeMember: one member answers alone. An id pair whose endpoints share
+//     a member (or any id pair on a single-member multi), and a coordinate
+//     pair whose endpoints share a member that answers points.
+//   - routePortal: an id pair straddling two fine members that share
+//     boundary portals and whose span is short enough for the portal detour:
+//     min over shared portals p of Q(s, p_A) + Q(p_B, t).
+//   - routeCoarse: the coarse level answers — long-range or portal-less id
+//     pairs, and every coordinate pair no single member can answer. An id
+//     pair whose coarse answer fails falls back to its shared portals.
+
+// routeKind names how a multi index answers one pair.
+type routeKind uint8
+
+const (
+	routeMember routeKind = iota
+	routePortal
+	routeCoarse
+)
+
+// pointIndex is the point capability of a member: a2a members answer point
+// distances and point paths alike.
+type pointIndex interface {
+	PointIndex
+	PointPathIndex
+}
+
+// route is one pair's routing decision.
+type route struct {
+	kind   routeKind
+	ka, kb int   // member slice indexes of the id endpoints
+	la, lb int32 // their member-local ids
+	// pa, pb are the endpoints' surface points, read only for a cross-member
+	// id pair (its span picks the route, and the coarse level answers them).
+	pa, pb terrain.SurfacePoint
+	links  []PortalLink // portals the two members share (cross-member id pairs)
+	// pt answers the pair in point form: the coarse member on routeCoarse,
+	// the owning member on a coordinate routeMember, nil otherwise.
+	pt pointIndex
+}
+
+// route decides how the multi index answers the id pair (s, t), or the
+// planar pair xy = (sx, sy, tx, ty) when xy is non-nil, into the zeroed r.
+// It fills r in place because returning the value copied it twice, a
+// quarter of a same-tile query's CPU. It fails with the structured errors
+// the serving layer maps to statuses: a CrossMemberError
+// when no route joins the endpoints, a quarantined or out-of-range id, or
+// the legacy ambiguity (id pairs on a multi without a global id space).
+// Routing never faults a lazy member just to learn that it cannot answer
+// points, and a same-member id pair never reads a point table.
+func (sh *ShardedIndex) route(r *route, s, t int32, xy *[4]float64) error {
+	if xy != nil {
+		ms, _ := sh.Locate(xy[0], xy[1])
+		mt, _ := sh.Locate(xy[2], xy[3])
+		same := ms.Name == mt.Name
+		if same {
+			if r.pt = pointMember(ms.Index); r.pt != nil {
+				return nil
+			}
+		}
+		if r.pt = sh.coarseFor(math.Hypot(xy[2]-xy[0], xy[3]-xy[1])); r.pt != nil {
+			r.kind = routeCoarse
+			return nil
+		}
+		if same {
+			return fmt.Errorf("core: member %q (kind %s) answers no point queries", ms.Name, ms.Index.Stats().Kind)
+		}
+		return &CrossMemberError{SMember: ms.Name, TMember: mt.Name,
+			Reason: "coordinate endpoints straddle members and the container has no coarse level"}
 	}
-	// With L coarse levels, spans beyond 2^l × spanCut step to level l+1.
+	if len(sh.members) == 1 {
+		r.la, r.lb = s, t
+		return nil
+	}
+	if sh.hier == nil {
+		return fmt.Errorf("core: multi index holds %d members; address one by name (ids are member-local)", len(sh.members))
+	}
+	var err error
+	if r.ka, r.la, err = sh.resolveGlobal(s); err != nil {
+		return err
+	}
+	if r.kb, r.lb, err = sh.resolveGlobal(t); err != nil {
+		return err
+	}
+	if r.ka == r.kb {
+		return nil
+	}
+	if r.pa, err = surfacePointOf(sh.members[r.ka].Index, r.la); err != nil {
+		return err
+	}
+	if r.pb, err = surfacePointOf(sh.members[r.kb].Index, r.lb); err != nil {
+		return err
+	}
+	h := sh.hier
+	r.kind = routePortal
+	r.links = h.linksBetween(int32(sh.ord[r.ka]), int32(sh.ord[r.kb]))
+	span := math.Hypot(r.pa.P.X-r.pb.P.X, r.pa.P.Y-r.pb.P.Y)
+	if len(r.links) == 0 || (span > h.spanCut && len(h.coarseOrd) > 0) {
+		if r.pt = sh.coarseFor(span); r.pt != nil {
+			r.kind = routeCoarse
+		} else if len(r.links) == 0 {
+			return &CrossMemberError{
+				SMember: sh.members[r.ka].Name, TMember: sh.members[r.kb].Name,
+				Reason: "members share no boundary portals and the container has no coarse level",
+			}
+		}
+	}
+	return nil
+}
+
+// coarseFor picks the coarse member answering a query of the given planar
+// span, or nil when none can: the level the span selects (with L coarse
+// levels, spans beyond 2^l × spanCut select level l+1), then the finer
+// levels, then the coarser ones, skipping quarantined members and members
+// that answer no point queries.
+func (sh *ShardedIndex) coarseFor(span float64) pointIndex {
+	h := sh.hier
+	if h == nil {
+		return nil
+	}
 	want := 0
 	for cut := h.spanCut; want < len(h.coarseOrd)-1 && span > 2*cut; cut *= 2 {
 		want++
 	}
 	for off := 0; off < len(h.coarseOrd); off++ {
-		// Prefer the selected level, then walk outward (finer first).
-		i := want - off
+		i := want - off // the selected level, then the finer ones
 		if i < 0 {
-			i = want + (off - (want - 0))
+			i = off // then the coarser ones
 		}
-		if i < 0 || i >= len(h.coarseOrd) {
-			continue
-		}
-		k := sh.memAt[h.coarseOrd[i]]
-		if k < 0 {
-			continue
-		}
-		if pi := pointMember(sh.members[k].Index); pi != nil {
-			return pi, nil
+		if k := sh.memAt[h.coarseOrd[i]]; k >= 0 {
+			if pi := pointMember(sh.members[k].Index); pi != nil {
+				return pi
+			}
 		}
 	}
-	return nil, fmt.Errorf("core: no coarse member can answer point queries")
+	return nil
 }
 
-// crossQuery answers a query whose endpoints live in different fine members:
-// short-range straddling pairs stitch through the boundary portals the two
-// members share; long-range pairs (and pairs of non-adjacent members) route
-// to the coarse level.
-func (sh *ShardedIndex) crossQuery(ka int, la int32, kb int, lb int32) (float64, error) {
-	h := sh.hier
-	ordA, ordB := int32(sh.ord[ka]), int32(sh.ord[kb])
-	pa, err := surfacePointOf(sh.members[ka].Index, la)
-	if err != nil {
-		return 0, err
+// answer routes one pair (see route for s, t and xy) and answers it: the
+// distance, plus the surface path when path is set. It is the one place the
+// portal and coarse counters move, each once per answer its route gave.
+func (sh *ShardedIndex) answer(s, t int32, xy *[4]float64, path bool) ([]terrain.SurfacePoint, float64, error) {
+	var r route
+	if err := sh.route(&r, s, t, xy); err != nil {
+		return nil, 0, err
 	}
-	pb, err := surfacePointOf(sh.members[kb].Index, lb)
-	if err != nil {
-		return 0, err
+	if r.pt == nil && r.kind == routeMember {
+		if path {
+			return sh.memberPath(r.ka, r.la, r.lb)
+		}
+		d, err := sh.members[r.ka].Index.Query(r.la, r.lb)
+		return nil, d, err
 	}
-	links := h.linksBetween(ordA, ordB)
-	span := math.Hypot(pa.P.X-pb.P.X, pa.P.Y-pb.P.Y)
-	if len(links) == 0 || (span > h.spanCut && len(h.coarseOrd) > 0) {
-		if pi, cerr := sh.coarseFor(span); cerr == nil {
-			d, qerr := pi.QueryPoints(pa, pb)
-			if qerr == nil {
-				sh.coarseQueries.Add(1)
-				return d, nil
-			}
-			if len(links) == 0 {
-				return 0, qerr
-			}
-		} else if len(links) == 0 {
-			return 0, &CrossMemberError{
-				SMember: sh.members[ka].Name, TMember: sh.members[kb].Name,
-				Reason: "members share no boundary portals and the container has no coarse level",
-			}
+	if r.pt != nil {
+		var pts []terrain.SurfacePoint
+		var d float64
+		var err error
+		switch {
+		case xy != nil && path:
+			pts, d, err = r.pt.QueryPathXY(xy[0], xy[1], xy[2], xy[3])
+		case xy != nil:
+			d, err = r.pt.QueryXY(xy[0], xy[1], xy[2], xy[3])
+		case path:
+			pts, d, err = r.pt.QueryPathPoints(r.pa, r.pb)
+		default:
+			d, err = r.pt.QueryPoints(r.pa, r.pb)
 		}
+		if err == nil && r.kind == routeCoarse {
+			sh.coarseQueries.Add(1)
+		}
+		if err == nil || len(r.links) == 0 {
+			return pts, d, err
+		}
+		// A failed coarse answer falls back to the shared portals.
 	}
-	best := math.Inf(1)
-	for _, ln := range links {
-		ida, idb := ln.IDA, ln.IDB
-		if ln.A != ordA {
-			ida, idb = idb, ida
-		}
-		da, err := sh.members[ka].Index.Query(la, ida)
-		if err != nil {
-			return 0, fmt.Errorf("core: portal leg in member %q: %w", sh.members[ka].Name, err)
-		}
-		db, err := sh.members[kb].Index.Query(idb, lb)
-		if err != nil {
-			return 0, fmt.Errorf("core: portal leg in member %q: %w", sh.members[kb].Name, err)
-		}
-		if d := da + db; d < best {
-			best = d
-		}
-	}
-	sh.portalQueries.Add(1)
-	return best, nil
-}
-
-// crossPath mirrors crossQuery for path reporting: the best portal's two
-// member paths concatenated at the (bit-identical) portal point, or the
-// coarse member's point-to-point path.
-func (sh *ShardedIndex) crossPath(ka int, la int32, kb int, lb int32) ([]terrain.SurfacePoint, float64, error) {
-	h := sh.hier
-	ordA, ordB := int32(sh.ord[ka]), int32(sh.ord[kb])
-	pa, err := surfacePointOf(sh.members[ka].Index, la)
+	d, ida, idb, err := sh.bestPortal(&r)
 	if err != nil {
 		return nil, 0, err
 	}
-	pb, err := surfacePointOf(sh.members[kb].Index, lb)
-	if err != nil {
-		return nil, 0, err
-	}
-	links := h.linksBetween(ordA, ordB)
-	span := math.Hypot(pa.P.X-pb.P.X, pa.P.Y-pb.P.Y)
-	if len(links) == 0 || (span > h.spanCut && len(h.coarseOrd) > 0) {
-		if pi, cerr := sh.coarseFor(span); cerr == nil {
-			if pp, ok := pi.(PointPathIndex); ok {
-				path, d, qerr := pp.QueryPathPoints(pa, pb)
-				if qerr == nil {
-					sh.coarseQueries.Add(1)
-					return path, d, nil
-				}
-				if len(links) == 0 {
-					return nil, 0, qerr
-				}
-			} else if len(links) == 0 {
-				return nil, 0, fmt.Errorf("core: coarse member cannot report paths")
-			}
-		} else if len(links) == 0 {
-			return nil, 0, &CrossMemberError{
-				SMember: sh.members[ka].Name, TMember: sh.members[kb].Name,
-				Reason: "members share no boundary portals and the container has no coarse level",
-			}
-		}
-	}
-	// Pick the best portal by stitched distance (ties to the first link in
-	// canonical order — deterministic across loads).
-	best, bi := math.Inf(1), -1
-	bestIDA, bestIDB := int32(-1), int32(-1)
-	for i, ln := range links {
-		ida, idb := ln.IDA, ln.IDB
-		if ln.A != ordA {
-			ida, idb = idb, ida
-		}
-		da, err := sh.members[ka].Index.Query(la, ida)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: portal leg in member %q: %w", sh.members[ka].Name, err)
-		}
-		db, err := sh.members[kb].Index.Query(idb, lb)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: portal leg in member %q: %w", sh.members[kb].Name, err)
-		}
-		if d := da + db; d < best {
-			best, bi, bestIDA, bestIDB = d, i, ida, idb
-		}
-	}
-	if bi < 0 {
-		return nil, 0, fmt.Errorf("core: no usable portal between members %q and %q", sh.members[ka].Name, sh.members[kb].Name)
+	if path && ida < 0 {
+		return nil, 0, fmt.Errorf("core: no usable portal between members %q and %q", sh.members[r.ka].Name, sh.members[r.kb].Name)
 	}
 	sh.portalQueries.Add(1)
-	pia, ok := sh.members[ka].Index.(PathIndex)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: member %q cannot report paths", sh.members[ka].Name)
+	if !path {
+		return nil, d, nil
 	}
-	pib, ok := sh.members[kb].Index.(PathIndex)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: member %q cannot report paths", sh.members[kb].Name)
-	}
-	pathA, _, err := pia.QueryPath(la, bestIDA)
+	pathA, _, err := sh.memberPath(r.ka, r.la, ida)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: portal path in member %q: %w", sh.members[ka].Name, err)
+		return nil, 0, fmt.Errorf("core: portal path in member %q: %w", sh.members[r.ka].Name, err)
 	}
-	pathB, _, err := pib.QueryPath(bestIDB, lb)
+	pathB, _, err := sh.memberPath(r.kb, idb, r.lb)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: portal path in member %q: %w", sh.members[kb].Name, err)
+		return nil, 0, fmt.Errorf("core: portal path in member %q: %w", sh.members[r.kb].Name, err)
 	}
+	// The two member paths meet at the (bit-identical) portal point.
 	joined := make([]terrain.SurfacePoint, 0, len(pathA)+len(pathB))
 	for _, p := range pathA {
 		joined = appendPathPoint(joined, p)
@@ -607,6 +638,42 @@ func (sh *ShardedIndex) crossPath(ka int, la int32, kb int, lb int32) ([]terrain
 		joined = appendPathPoint(joined, p)
 	}
 	return joined, segLength(joined), nil
+}
+
+// bestPortal stitches a straddling id pair through the portals its two
+// members share: the least Q(s, p_A) + Q(p_B, t), and the best portal's
+// local id in each member (-1 when no portal gives a finite distance; ties
+// go to the first link in canonical order, deterministic across loads).
+func (sh *ShardedIndex) bestPortal(r *route) (best float64, ida, idb int32, err error) {
+	ordA := int32(sh.ord[r.ka])
+	best, ida, idb = math.Inf(1), -1, -1
+	for _, ln := range r.links {
+		a, b := ln.IDA, ln.IDB
+		if ln.A != ordA {
+			a, b = b, a
+		}
+		da, err := sh.members[r.ka].Index.Query(r.la, a)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("core: portal leg in member %q: %w", sh.members[r.ka].Name, err)
+		}
+		db, err := sh.members[r.kb].Index.Query(b, r.lb)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("core: portal leg in member %q: %w", sh.members[r.kb].Name, err)
+		}
+		if d := da + db; d < best {
+			best, ida, idb = d, a, b
+		}
+	}
+	return best, ida, idb, nil
+}
+
+// memberPath is one member's id path.
+func (sh *ShardedIndex) memberPath(k int, s, t int32) ([]terrain.SurfacePoint, float64, error) {
+	pi, ok := sh.members[k].Index.(PathIndex)
+	if !ok {
+		return nil, 0, fmt.Errorf("core: member %q (kind %s) cannot report paths", sh.members[k].Name, sh.members[k].Index.Stats().Kind)
+	}
+	return pi.QueryPath(s, t)
 }
 
 // --- observability ------------------------------------------------------------
@@ -666,44 +733,6 @@ func (sh *ShardedIndex) TileStats() (TileStats, bool) {
 		ts.Resident = len(sh.members)
 	}
 	return ts, true
-}
-
-// globalQuery answers an id-addressed query in the global id space:
-// same-member pairs delegate to the owning member, cross-member pairs route
-// through portals or the coarse level.
-func (sh *ShardedIndex) globalQuery(s, t int32) (float64, error) {
-	ka, la, err := sh.resolveGlobal(s)
-	if err != nil {
-		return 0, err
-	}
-	kb, lb, err := sh.resolveGlobal(t)
-	if err != nil {
-		return 0, err
-	}
-	if ka == kb {
-		return sh.members[ka].Index.Query(la, lb)
-	}
-	return sh.crossQuery(ka, la, kb, lb)
-}
-
-// globalQueryPath is globalQuery's path-reporting form.
-func (sh *ShardedIndex) globalQueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) {
-	ka, la, err := sh.resolveGlobal(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	kb, lb, err := sh.resolveGlobal(t)
-	if err != nil {
-		return nil, 0, err
-	}
-	if ka == kb {
-		pi, ok := sh.members[ka].Index.(PathIndex)
-		if !ok {
-			return nil, 0, fmt.Errorf("core: member %q reports no paths", sh.members[ka].Name)
-		}
-		return pi.QueryPath(la, lb)
-	}
-	return sh.crossPath(ka, la, kb, lb)
 }
 
 // memberNearest answers one member's Nearest. On a hierarchical index the
@@ -769,40 +798,23 @@ func (sh *ShardedIndex) memberNearestK(k int, x, y float64, want int) ([]Neighbo
 // --- coordinate queries ---------------------------------------------------
 //
 // A multi index answers arbitrary-point (PointIndex / PointPathIndex)
-// queries by locating each endpoint's owning member: same-member queries
-// delegate when the member has the capability, and everything else — a
-// straddling pair, or a member kind without arbitrary-point support — falls
-// to the coarse level when the container has one. Without a coarse level a
-// straddling pair fails with CrossMemberError, the structured form the
-// serving layer maps to 422.
+// queries through route: a pair whose endpoints share a member that answers
+// points goes to that member, and every other pair — a straddling pair, or a
+// member kind without arbitrary-point support — goes to the coarse level
+// when the container has one. Without a coarse level a straddling pair fails
+// with CrossMemberError, the structured form the serving layer maps to 422,
+// and a same-member pair fails naming the member's kind.
 
-// pointMember returns a member's point-query capability, nil when it has
-// none. A lazy member implements PointIndex for every kind, so it is judged
-// by its manifest kind instead — only a2a bodies answer point queries — and
-// routing never faults a member in just to learn that it cannot answer.
-func pointMember(idx DistanceIndex) PointIndex {
+// pointMember returns a member's point capability, nil when it has none. A
+// lazy member implements it for every kind, so it is judged by its manifest
+// kind instead — only a2a bodies answer point queries — and routing never
+// faults a member in just to learn that it cannot answer.
+func pointMember(idx DistanceIndex) pointIndex {
 	if lm, ok := idx.(*lazyMember); ok && lm.kind != KindA2A {
 		return nil
 	}
-	pi, _ := idx.(PointIndex)
+	pi, _ := idx.(pointIndex)
 	return pi
-}
-
-// pointPathMember is pointMember for the point-path capability.
-func pointPathMember(idx DistanceIndex) PointPathIndex {
-	if lm, ok := idx.(*lazyMember); ok && lm.kind != KindA2A {
-		return nil
-	}
-	pp, _ := idx.(PointPathIndex)
-	return pp
-}
-
-// coordLocate resolves both coordinate endpoints' owning members and
-// whether they coincide.
-func (sh *ShardedIndex) coordLocate(sx, sy, tx, ty float64) (ms, mt ShardMember, same bool) {
-	ms, _ = sh.Locate(sx, sy)
-	mt, _ = sh.Locate(tx, ty)
-	return ms, mt, ms.Name == mt.Name
 }
 
 // QueryPoints answers the ε-approximate distance between two arbitrary
@@ -821,42 +833,16 @@ func (sh *ShardedIndex) Project(x, y float64) (terrain.SurfacePoint, bool) {
 			return p, true
 		}
 	}
-	if sh.hier != nil {
-		if pi, err := sh.coarseFor(0); err == nil {
-			return pi.Project(x, y)
-		}
+	if pi := sh.coarseFor(0); pi != nil {
+		return pi.Project(x, y)
 	}
 	return terrain.SurfacePoint{}, false
 }
 
 // QueryXY answers the planar-coordinate query form. Part of PointIndex.
 func (sh *ShardedIndex) QueryXY(sx, sy, tx, ty float64) (float64, error) {
-	if len(sh.members) == 1 {
-		if pi := pointMember(sh.members[0].Index); pi != nil {
-			return pi.QueryXY(sx, sy, tx, ty)
-		}
-		return 0, fmt.Errorf("core: member %q (kind %s) answers no point queries", sh.members[0].Name, sh.members[0].Index.Stats().Kind)
-	}
-	ms, mt, same := sh.coordLocate(sx, sy, tx, ty)
-	if same {
-		if pi := pointMember(ms.Index); pi != nil {
-			return pi.QueryXY(sx, sy, tx, ty)
-		}
-	}
-	if sh.hier != nil {
-		if pi, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
-			d, qerr := pi.QueryXY(sx, sy, tx, ty)
-			if qerr == nil {
-				sh.coarseQueries.Add(1)
-			}
-			return d, qerr
-		}
-	}
-	if same {
-		return 0, fmt.Errorf("core: member %q (kind %s) answers no point queries", ms.Name, ms.Index.Stats().Kind)
-	}
-	return 0, &CrossMemberError{SMember: ms.Name, TMember: mt.Name,
-		Reason: "coordinate endpoints straddle members and the container has no coarse level"}
+	_, d, err := sh.answer(0, 0, &[4]float64{sx, sy, tx, ty}, false)
+	return d, err
 }
 
 // QueryPathPoints reports the surface path between two arbitrary surface
@@ -868,32 +854,5 @@ func (sh *ShardedIndex) QueryPathPoints(s, t terrain.SurfacePoint) ([]terrain.Su
 // QueryPathXY reports the surface path between planar coordinates through
 // the owning member or the coarse level. Part of PointPathIndex.
 func (sh *ShardedIndex) QueryPathXY(sx, sy, tx, ty float64) ([]terrain.SurfacePoint, float64, error) {
-	if len(sh.members) == 1 {
-		if pi := pointPathMember(sh.members[0].Index); pi != nil {
-			return pi.QueryPathXY(sx, sy, tx, ty)
-		}
-		return nil, 0, fmt.Errorf("core: member %q (kind %s) reports no point paths", sh.members[0].Name, sh.members[0].Index.Stats().Kind)
-	}
-	ms, mt, same := sh.coordLocate(sx, sy, tx, ty)
-	if same {
-		if pi := pointPathMember(ms.Index); pi != nil {
-			return pi.QueryPathXY(sx, sy, tx, ty)
-		}
-	}
-	if sh.hier != nil {
-		if pi, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
-			if pp, ok := pi.(PointPathIndex); ok {
-				path, d, qerr := pp.QueryPathXY(sx, sy, tx, ty)
-				if qerr == nil {
-					sh.coarseQueries.Add(1)
-				}
-				return path, d, qerr
-			}
-		}
-	}
-	if same {
-		return nil, 0, fmt.Errorf("core: member %q (kind %s) reports no point paths", ms.Name, ms.Index.Stats().Kind)
-	}
-	return nil, 0, &CrossMemberError{SMember: ms.Name, TMember: mt.Name,
-		Reason: "coordinate endpoints straddle members and the container has no coarse level"}
+	return sh.answer(0, 0, &[4]float64{sx, sy, tx, ty}, true)
 }

@@ -723,3 +723,49 @@ func TestLODLazyFaultSticky(t *testing.T) {
 		t.Fatalf("failed faults must not count as admissions, got %d", ts.Faults)
 	}
 }
+
+// coarseStub is a coarse member standing in for an a2a level: coarseFor
+// only asks whether a member answers points, never queries it.
+type coarseStub struct{ pointIndex }
+
+// coarseFor walks the coarse levels in a fixed order: the level the span
+// selects, then the finer levels (nearest first), then the coarser ones,
+// skipping quarantined members (memAt = -1).
+func TestCoarseForLevelWalk(t *testing.T) {
+	levels := []*coarseStub{{}, {}, {}}
+	// spanCut 1: spans up to 2 select level 0, up to 4 level 1, beyond that 2.
+	const near, mid, far = 1.5, 3, 100
+	for _, tc := range []struct {
+		name        string
+		span        float64
+		quarantined []int
+		want        int // index into levels, -1 for none
+	}{
+		{"selected level 0", near, nil, 0},
+		{"selected level 1", mid, nil, 1},
+		{"selected level 2", far, nil, 2},
+		{"level 1 quarantined: finer first", mid, []int{1}, 0},
+		{"levels 1 and 0 quarantined: then coarser", mid, []int{1, 0}, 2},
+		{"level 0 quarantined: no finer, so coarser", near, []int{0}, 1},
+		{"level 2 quarantined: finer first", far, []int{2}, 1},
+		{"levels 2 and 1 quarantined", far, []int{2, 1}, 0},
+		{"levels 2, 1 and 0 quarantined", far, []int{2, 1, 0}, -1},
+	} {
+		sh := &ShardedIndex{hier: &hierMeta{coarseOrd: []int32{0, 1, 2}, spanCut: 1}, memAt: []int{0, 1, 2}}
+		for _, l := range levels {
+			sh.members = append(sh.members, ShardMember{Index: l})
+		}
+		for _, q := range tc.quarantined {
+			sh.memAt[q] = -1
+		}
+		got, pick := sh.coarseFor(tc.span), -1
+		for i, l := range levels {
+			if got == l {
+				pick = i
+			}
+		}
+		if pick != tc.want || (pick < 0 && got != nil) {
+			t.Errorf("%s: picked level %d, want %d", tc.name, pick, tc.want)
+		}
+	}
+}

@@ -24,8 +24,8 @@ type Reached struct {
 
 // Reachability is a DistanceIndex that answers reachability queries:
 // Reachable returns every indexed endpoint within a surface-distance budget
-// of a source endpoint. Implemented by every engine; a sharded index
-// delegates through its sole member (ids are member-local).
+// of a source endpoint. Implemented by every engine; a sharded index routes
+// the source like its Query.
 type Reachability interface {
 	DistanceIndex
 	// Reachable returns every indexed endpoint t with Query(src, t) <= d,
@@ -71,27 +71,28 @@ func (dy *DynamicOracle) Reachable(src int32, d float64) ([]Reached, error) {
 	return reachableScan(dy, dy.LiveIDs(), func(id int32) terrain.SurfacePoint { return dy.pois[id] }, src, d)
 }
 
-// Reachable answers through the sole member when exactly one exists. A
-// hierarchical index scans the whole global id space — every candidate
-// routes like Query, so an isochrone may spill across tile boundaries. A
-// legacy flat-grid multi keeps the old contract: ids are member-local and
-// the caller must address a member first. Part of the Reachability
+// Reachable routes src like Query. Without a global id space the route is
+// the sole member, which answers in its own id space; a hierarchical index
+// scans the whole global id space — every candidate routes like Query, so an
+// isochrone may spill across tile boundaries. Part of the Reachability
 // interface.
 func (sh *ShardedIndex) Reachable(src int32, d float64) ([]Reached, error) {
-	if len(sh.members) == 1 {
-		if ri, ok := sh.members[0].Index.(Reachability); ok {
-			return ri.Reachable(src, d)
-		}
-		return nil, fmt.Errorf("core: member %q answers no reachability queries", sh.members[0].Name)
+	var r route
+	if err := sh.route(&r, src, src, nil); err != nil {
+		return nil, err
 	}
-	if sh.hier != nil {
-		ids := make([]int32, sh.hier.total)
-		for i := range ids {
-			ids[i] = int32(i)
+	if !sh.SupportsGlobal() {
+		ri, ok := sh.members[r.ka].Index.(Reachability)
+		if !ok {
+			return nil, fmt.Errorf("core: member %q answers no reachability queries", sh.members[r.ka].Name)
 		}
-		return reachableScan(sh, ids, sh.globalPoint, src, d)
+		return ri.Reachable(r.la, d)
 	}
-	return nil, fmt.Errorf("core: multi index holds %d members; address one by name (ids are member-local)", len(sh.members))
+	ids := make([]int32, sh.hier.total)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return reachableScan(sh, ids, sh.globalPoint, src, d)
 }
 
 // PlanarHull returns the convex hull of the points' planar (x, y)

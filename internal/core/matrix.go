@@ -15,9 +15,8 @@ import (
 // MatrixIndex is a DistanceIndex that answers many-to-many distance
 // matrices (the serving layer's /v1/matrix): QueryMatrix fills dst with the
 // row-major len(sources)×len(targets) matrix of pairwise distances.
-// Implemented by every engine; a sharded index delegates through its sole
-// member (with more members, endpoint ids are member-local and a member
-// must be addressed first).
+// Implemented by every engine; a sharded index answers every cell like its
+// Query.
 type MatrixIndex interface {
 	DistanceIndex
 	// QueryMatrix returns dst filled row-major: dst[i*len(targets)+j] is
@@ -95,21 +94,9 @@ func (d *DynamicOracle) QueryMatrix(sources, targets []int32, dst []float64) ([]
 	return MatrixViaBatch(d, sources, targets, dst)
 }
 
-// QueryMatrix answers through the sole member when exactly one exists. A
-// hierarchical index answers in the global id space — each cell routes
-// like Query (same-member, portal-stitched, or coarse), so a fleet matrix
-// may span tiles freely. A legacy flat-grid multi keeps the old contract:
-// ids are member-local and the caller must address a member first. Part of
-// the MatrixIndex interface.
+// QueryMatrix answers every cell like Query, so on a hierarchical index
+// each cell takes its own route (same-member, portal-stitched or coarse) and
+// a fleet matrix may span tiles freely. Part of the MatrixIndex interface.
 func (sh *ShardedIndex) QueryMatrix(sources, targets []int32, dst []float64) ([]float64, error) {
-	if len(sh.members) == 1 {
-		if mi, ok := sh.members[0].Index.(MatrixIndex); ok {
-			return mi.QueryMatrix(sources, targets, dst)
-		}
-		return MatrixViaBatch(sh.members[0].Index, sources, targets, dst)
-	}
-	if sh.hier != nil {
-		return MatrixViaBatch(sh, sources, targets, dst)
-	}
-	return nil, fmt.Errorf("core: multi index holds %d members; address one by name (ids are member-local)", len(sh.members))
+	return MatrixViaBatch(sh, sources, targets, dst)
 }

@@ -171,24 +171,9 @@ func (d *DynamicOracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, 
 
 // --- sharded -----------------------------------------------------------------
 
-// QueryPath routes like Query: it answers through the sole member when
-// exactly one exists, and on a hierarchical index it answers in the global
-// id space — a cross-member pair's path is the best portal's two member
-// paths concatenated at the portal point, or the coarse member's
-// point-to-point path (see hierarchy.go). A legacy flat-grid multi keeps
-// the old contract: ids are member-local and the caller must address a
-// member (by name or bbox) first.
+// QueryPath routes like Query. A cross-member pair's path is the best
+// portal's two member paths concatenated at the portal point, or the coarse
+// member's point-to-point path (see hierarchy.go).
 func (sh *ShardedIndex) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) {
-	if len(sh.members) == 1 {
-		pi, ok := sh.members[0].Index.(PathIndex)
-		if !ok {
-			return nil, 0, fmt.Errorf("core: member %q (kind %s) cannot report paths",
-				sh.members[0].Name, sh.members[0].Index.Stats().Kind)
-		}
-		return pi.QueryPath(s, t)
-	}
-	if sh.hier != nil {
-		return sh.globalQueryPath(s, t)
-	}
-	return nil, 0, fmt.Errorf("core: multi index holds %d members; address one by name (ids are member-local)", len(sh.members))
+	return sh.answer(s, t, nil, true)
 }

@@ -229,21 +229,16 @@ func (sh *ShardedIndex) contains(b BBox2D, x, y float64) bool {
 	return true
 }
 
-// Query answers through the sole member when exactly one exists. With more
-// members, a hierarchical container answers in the global id space (the
-// level-0 members' real POIs concatenated in manifest order): same-member
-// pairs delegate, and cross-member pairs route through boundary-portal
-// stitching or the coarse level (see hierarchy.go). A legacy flat-grid
-// multi keeps the old contract — ids are member-local and the caller must
-// address a member by name or bbox first.
+// Query answers an id pair through route (see hierarchy.go): the sole
+// member when exactly one exists; on a hierarchical container the global id
+// space (the level-0 members' real POIs concatenated in manifest order),
+// where same-member pairs delegate and cross-member pairs stitch through
+// boundary portals or go to the coarse level. A legacy flat-grid multi keeps
+// the old contract — ids are member-local and the caller must address a
+// member by name or bbox first.
 func (sh *ShardedIndex) Query(s, t int32) (float64, error) {
-	if len(sh.members) == 1 {
-		return sh.members[0].Index.Query(s, t)
-	}
-	if sh.hier != nil {
-		return sh.globalQuery(s, t)
-	}
-	return 0, fmt.Errorf("core: multi index holds %d members; address one by name (ids are member-local)", len(sh.members))
+	_, d, err := sh.answer(s, t, nil, false)
+	return d, err
 }
 
 // QueryBatch answers pairs through Query (so the single-member delegation

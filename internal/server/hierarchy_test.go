@@ -418,6 +418,28 @@ func TestLODCoordinatePairsMatchCore(t *testing.T) {
 				t.Errorf("%s /v1/path?%s = %d %+v, want 200 distance %v", mode.name, q, code, pr, wantPD)
 			}
 		}
+		// An unnamed coordinate matrix goes to the multi root: every cell is
+		// core's QueryXY of its pair, whichever tile the first source is in.
+		src, dst := make([][2]float64, len(pairs)), make([][2]float64, len(pairs))
+		for i, p := range pairs {
+			src[i], dst[i] = [2]float64{p[0], p[1]}, [2]float64{p[2], p[3]}
+		}
+		var mr matrixBody
+		if code := post(t, ts, "/v1/matrix", map[string]interface{}{"source_coords": src, "target_coords": dst}, &mr); code != 200 ||
+			len(mr.Distances) != len(src)*len(dst) || mr.Errors != nil {
+			t.Fatalf("%s /v1/matrix = %d %+v, want 200 with %d cells", mode.name, code, mr, len(src)*len(dst))
+		}
+		for i, s := range src {
+			for j, d := range dst {
+				want, err := sh.QueryXY(s[0], s[1], d[0], d[1])
+				if err != nil {
+					t.Fatalf("%s: core QueryXY(%v, %v): %v", mode.name, s, d, err)
+				}
+				if got := mr.Distances[i*len(dst)+j]; got != want {
+					t.Errorf("%s /v1/matrix cell (%v, %v) = %v, want %v", mode.name, s, d, got, want)
+				}
+			}
+		}
 		ts.Close()
 		if c, ok := idx.(interface{ Close() error }); ok {
 			c.Close()

@@ -26,14 +26,14 @@
 //	POST     /admin/reload  atomically reload the index from its source (when a loader is configured)
 //
 // Multi-container routing: an explicit index name (?index= or the JSON
-// "index" field) always wins; without one, coordinate-addressed requests
-// (/v1/query with sx..ty, /v1/nearest) route to the first member whose
-// planar bbox contains the source point. A coordinate pair straddling two
-// members routes through the multi root: hierarchical containers stitch
-// the answer through boundary portals or a coarse level, legacy ones
-// answer a structured 422 naming both members. Unnamed id-addressed
-// requests address the global id space on a hierarchical container and
-// are rejected as ambiguous on a legacy one (member ids are local).
+// "index" field) always wins. Without one, every pair request goes to the
+// multi root, whose route picks the owning member, a boundary-portal stitch
+// or the coarse level, or fails with a structured error (a 422 naming both
+// members for a straddling pair with no route); the server adds only a 503
+// for a coordinate only a quarantined tile contains. Unnamed id-addressed
+// requests address the global id space on a hierarchical container and are
+// rejected as ambiguous on a legacy one (member ids are local). Unnamed
+// /v1/nearest scans every member.
 //
 // Robustness: the serving path is built to stay predictable under overload
 // and partial failure. A bounded in-flight limit sheds excess load with
@@ -108,9 +108,9 @@ type Options struct {
 }
 
 // target is one routable index: the sole index of a single-container
-// server, or one member of a multi container.
+// server, the root of a multi container, or one of its members.
 type target struct {
-	name    string // "" on a single-index server
+	name    string // "" for the served root
 	idx     core.DistanceIndex
 	pt      core.PointIndex     // non-nil when the index answers arbitrary points
 	nf      core.NearestFinder  // non-nil when the index can scan for nearest endpoints
@@ -155,12 +155,8 @@ func newTarget(name string, idx core.DistanceIndex) *target {
 // request snapshots exactly one epoch at entry and never observes a mix of
 // old and new state.
 type epoch struct {
-	root        core.DistanceIndex
-	kindTag     core.Kind
+	root        *target            // the served index: a single index, or the multi root
 	sharded     *core.ShardedIndex // non-nil when serving a multi container
-	single      *target            // non-nil when serving one index
-	cross       *target            // the multi root: cross-tile coordinate routing (non-nil when sharded)
-	global      *target            // == cross when the multi routes a global id space (LOD hierarchy)
 	targets     []*target          // routable indexes, manifest order
 	byName      map[string]*target
 	quarantined []core.Quarantined
@@ -170,8 +166,7 @@ type epoch struct {
 
 func newEpoch(idx core.DistanceIndex, quarantined []core.Quarantined, gen uint64) *epoch {
 	ep := &epoch{
-		root:        idx,
-		kindTag:     idx.Stats().Kind,
+		root:        newTarget("", idx),
 		byName:      map[string]*target{},
 		quarantined: quarantined,
 		gen:         gen,
@@ -184,20 +179,8 @@ func newEpoch(idx core.DistanceIndex, quarantined []core.Quarantined, gen uint64
 			ep.targets = append(ep.targets, tgt)
 			ep.byName[m.Name] = tgt
 		}
-		// The multi root answers coordinate pairs that straddle members: on
-		// a hierarchical container it stitches through portals or the coarse
-		// level; on a legacy one it produces the structured cross-member
-		// error (422) naming both members.
-		ep.cross = newTarget("", idx)
-		if sh.SupportsGlobal() {
-			// A hierarchical multi also carries a global id space: unnamed
-			// id-addressed requests route through the sharded index itself
-			// instead of being rejected as ambiguous.
-			ep.global = ep.cross
-		}
 	} else {
-		ep.single = newTarget("", idx)
-		ep.targets = []*target{ep.single}
+		ep.targets = []*target{ep.root}
 	}
 	return ep
 }
@@ -478,13 +461,16 @@ func bboxContains(b core.BBox2D, x, y float64) bool {
 }
 
 // resolve picks the index a request addresses within one epoch: an explicit
-// name always wins; a single-index server falls back to its index; a multi
-// server routes by the planar source coordinates (when given) through the
-// member bboxes. Requests addressing a quarantined member — by name, or by
-// a coordinate only a quarantined tile contains — answer 503: the data
-// exists but this process cannot serve it until the container is repaired.
-// On failure it returns a nil target with the status and message to write.
-func (s *Server) resolve(ep *epoch, name string, x, y *float64) (*target, int, string) {
+// name always wins; otherwise the request goes to the root — the single
+// index, or the multi root, whose route (the owning member, portals, the
+// coarse level, or a structured error) decides the status. pts are the
+// planar endpoints of a coordinate request: one only a quarantined tile
+// contains answers 503, since the data exists but this process cannot serve
+// it until the container is repaired; so does a name addressing a
+// quarantined member. Unnamed id requests need a global id space on a multi
+// (member ids are local otherwise). On failure it returns a nil target with
+// the status and message to write.
+func (s *Server) resolve(ep *epoch, name string, pts ...[2]float64) (*target, int, string) {
 	if name != "" {
 		if tgt, ok := ep.byName[name]; ok {
 			return tgt, 0, ""
@@ -497,34 +483,25 @@ func (s *Server) resolve(ep *epoch, name string, x, y *float64) (*target, int, s
 		}
 		if ep.sharded == nil {
 			return nil, http.StatusNotFound,
-				fmt.Sprintf("no index named %q: this server holds one unnamed %s index", name, ep.kindTag)
+				fmt.Sprintf("no index named %q: this server holds one unnamed %s index", name, ep.root.kind)
 		}
 		return nil, http.StatusNotFound,
 			fmt.Sprintf("no index named %q (members: %s)", name, strings.Join(ep.memberNames(), ", "))
 	}
-	if ep.single != nil {
-		return ep.single, 0, ""
+	if ep.sharded == nil {
+		return ep.root, 0, ""
 	}
-	if x != nil && y != nil {
-		// Locate is total: containment first, else the planar-closest member
-		// bbox — so a coordinate a single un-sharded index would answer never
-		// strands between tiles. Off-terrain points still fail inside the
-		// member (e.g. Project errors), exactly as on a single-index server.
-		if status, msg := ep.quarantinedAt(*x, *y); status != 0 {
+	if len(pts) == 0 && !ep.sharded.SupportsGlobal() {
+		return nil, http.StatusBadRequest, fmt.Sprintf(
+			"multi index: ids are member-local, address one with index= (members: %s)",
+			strings.Join(ep.memberNames(), ", "))
+	}
+	for _, p := range pts {
+		if status, msg := ep.quarantinedAt(p[0], p[1]); status != 0 {
 			return nil, status, msg
 		}
-		m, _ := ep.sharded.Locate(*x, *y)
-		return ep.byName[m.Name], 0, ""
 	}
-	if ep.global != nil {
-		// Hierarchical multi: unnamed ids address the global id space (the
-		// level-0 members' POIs concatenated in manifest order) and
-		// cross-member pairs route through portals or the coarse level.
-		return ep.global, 0, ""
-	}
-	return nil, http.StatusBadRequest, fmt.Sprintf(
-		"multi index: ids are member-local, address one with index= (members: %s)",
-		strings.Join(ep.memberNames(), ", "))
+	return ep.root, 0, ""
 }
 
 // quarantinedAt answers 503 for a point a quarantined tile contains and no
@@ -541,23 +518,6 @@ func (ep *epoch) quarantinedAt(x, y float64) (int, string) {
 		}
 	}
 	return 0, ""
-}
-
-// resolveXY is resolve for coordinate-pair requests (both endpoints known):
-// an explicit name still wins, but on a multi an unnamed pair goes to the
-// multi root, whose QueryXY/QueryPathXY picks the route (the owning member,
-// the coarse level, or a structured error) and so decides the status. An
-// endpoint only a quarantined tile contains still answers 503.
-func (s *Server) resolveXY(ep *epoch, name string, sx, sy, tx, ty *float64) (*target, int, string) {
-	if name == "" && ep.cross != nil && sx != nil && sy != nil && tx != nil && ty != nil {
-		for _, p := range [2][2]float64{{*sx, *sy}, {*tx, *ty}} {
-			if status, msg := ep.quarantinedAt(p[0], p[1]); status != 0 {
-				return nil, status, msg
-			}
-		}
-		return ep.cross, 0, ""
-	}
-	return s.resolve(ep, name, sx, sy)
 }
 
 // cachedValue answers a response value (a coordinate distance, a path
@@ -725,7 +685,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) int {
 	ep := s.epoch()
 	switch {
 	case req.S != nil && req.T != nil:
-		tgt, status, msg := s.resolve(ep, req.Index, nil, nil)
+		tgt, status, msg := s.resolve(ep, req.Index)
 		if tgt == nil {
 			return s.writeError(w, status, "%s", msg)
 		}
@@ -738,7 +698,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) int {
 		}
 		return s.writeJSON(w, http.StatusOK, queryResponse{Distance: d, Kind: tgt.kind, Index: tgt.name})
 	case req.SX != nil && req.SY != nil && req.TX != nil && req.TY != nil:
-		tgt, status, msg := s.resolveXY(ep, req.Index, req.SX, req.SY, req.TX, req.TY)
+		tgt, status, msg := s.resolve(ep, req.Index, [2]float64{*req.SX, *req.SY}, [2]float64{*req.TX, *req.TY})
 		if tgt == nil {
 			return s.writeError(w, status, "%s", msg)
 		}
@@ -773,7 +733,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) int {
 	ctx := r.Context()
 	switch {
 	case req.S != nil && req.T != nil:
-		tgt, status, msg := s.resolve(ep, req.Index, nil, nil)
+		tgt, status, msg := s.resolve(ep, req.Index)
 		if tgt == nil {
 			return s.writeError(w, status, "%s", msg)
 		}
@@ -793,7 +753,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) int {
 		}
 		return s.writeJSON(w, http.StatusOK, v)
 	case req.SX != nil && req.SY != nil && req.TX != nil && req.TY != nil:
-		tgt, status, msg := s.resolveXY(ep, req.Index, req.SX, req.SY, req.TX, req.TY)
+		tgt, status, msg := s.resolve(ep, req.Index, [2]float64{*req.SX, *req.SY}, [2]float64{*req.TX, *req.TY})
 		if tgt == nil {
 			return s.writeError(w, status, "%s", msg)
 		}
@@ -881,7 +841,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 			"batch of %d pairs exceeds the %d limit", len(req.Pairs), MaxBatchPairs)
 	}
 	ep := s.epoch()
-	tgt, status, msg := s.resolve(ep, req.Index, nil, nil)
+	tgt, status, msg := s.resolve(ep, req.Index)
 	if tgt == nil {
 		return s.writeError(w, status, "%s", msg)
 	}
@@ -959,7 +919,7 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) int {
 		name = m.Name
 		ep.byName[name].queries.Add(1)
 	} else {
-		tgt, status, msg := s.resolve(ep, req.Index, req.X, req.Y)
+		tgt, status, msg := s.resolve(ep, req.Index)
 		if tgt == nil {
 			return s.writeError(w, status, "%s", msg)
 		}
@@ -988,7 +948,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 	ep := s.epoch()
 	body := map[string]interface{}{
 		"status":         "ok",
-		"kind":           ep.kindTag,
+		"kind":           ep.root.kind,
 		"uptime_seconds": time.Since(s.start).Seconds(),
 	}
 	if ep.sharded != nil {
@@ -1046,7 +1006,7 @@ func (s *Server) handleAdminReload(w http.ResponseWriter, _ *http.Request) int {
 	body := map[string]interface{}{
 		"status":     "reloaded",
 		"generation": gen,
-		"kind":       ep.kindTag,
+		"kind":       ep.root.kind,
 	}
 	if len(ep.quarantined) > 0 {
 		body["quarantined"] = ep.quarantinedNames()
@@ -1074,7 +1034,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) int {
 			"latency_ns": m.latencyNs.Load(),
 		}
 	}
-	rootStats := ep.root.Stats()
+	rootStats := ep.root.idx.Stats()
 	body := map[string]interface{}{
 		"index":     rootStats,
 		"endpoints": eps,

@@ -122,7 +122,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) int {
 	ep := s.epoch()
 	ctx := r.Context()
 	if byIDs {
-		tgt, status, msg := s.resolve(ep, req.Index, nil, nil)
+		tgt, status, msg := s.resolve(ep, req.Index)
 		if tgt == nil {
 			return s.writeError(w, status, "%s", msg)
 		}
@@ -143,9 +143,10 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) int {
 			return status
 		}
 	}
-	// Coordinate matrices route by the first source point (like /v1/query's
-	// coordinate form); every cell is then answered within that one member.
-	tgt, status, msg := s.resolve(ep, req.Index, &req.SourceCoords[0][0], &req.SourceCoords[0][1])
+	// An unnamed coordinate matrix on a multi goes to the multi root, so every
+	// cell takes its own route; the first source point alone answers 503 when
+	// only a quarantined tile contains it.
+	tgt, status, msg := s.resolve(ep, req.Index, req.SourceCoords[0])
 	if tgt == nil {
 		return s.writeError(w, status, "%s", msg)
 	}
@@ -212,8 +213,8 @@ func (s *Server) computeIDMatrix(ctx context.Context, tgt *target, sources, targ
 }
 
 // computeXYMatrix answers a coordinate-addressed matrix on a point-capable
-// index: each endpoint is projected onto the surface once, then cells are
-// answered with QueryPoints. A point off the terrain fails its row or
+// index, each cell exactly as QueryXY answers its pair (on a multi root, each
+// cell takes its own route). A point off the terrain fails its row or
 // column, not the request; a cancelled request context aborts at row
 // granularity.
 func (s *Server) computeXYMatrix(ctx context.Context, tgt *target, sources, targets [][2]float64) (matrixResponse, error) {
@@ -224,40 +225,17 @@ func (s *Server) computeXYMatrix(ctx context.Context, tgt *target, sources, targ
 	}
 	errs := make([]string, len(sources)*cols)
 	failed := false
-	project := func(pts [][2]float64) ([]terrain.SurfacePoint, []string) {
-		out := make([]terrain.SurfacePoint, len(pts))
-		perr := make([]string, len(pts))
-		for i, c := range pts {
-			p, ok := tgt.pt.Project(c[0], c[1])
-			if !ok {
-				perr[i] = fmt.Sprintf("point (%g,%g) is outside the terrain", c[0], c[1])
-				continue
-			}
-			out[i] = p
-		}
-		return out, perr
-	}
-	srcPts, srcErr := project(sources)
-	dstPts, dstErr := project(targets)
-	for i := range sources {
+	for i, sc := range sources {
 		if err := ctx.Err(); err != nil {
 			return matrixResponse{}, fmt.Errorf("matrix cancelled at row %d: %w", i, err)
 		}
-		for j := range targets {
-			cell := i*cols + j
-			switch {
-			case srcErr[i] != "":
-				errs[cell], failed = srcErr[i], true
-			case dstErr[j] != "":
-				errs[cell], failed = dstErr[j], true
-			default:
-				d, err := tgt.pt.QueryPoints(srcPts[i], dstPts[j])
-				if err != nil {
-					errs[cell], failed = err.Error(), true
-					continue
-				}
-				res.Distances[cell] = d
+		for j, tc := range targets {
+			d, err := tgt.pt.QueryXY(sc[0], sc[1], tc[0], tc[1])
+			if err != nil {
+				errs[i*cols+j], failed = err.Error(), true
+				continue
 			}
+			res.Distances[i*cols+j] = d
 		}
 	}
 	if failed {
@@ -305,7 +283,7 @@ func (s *Server) handleNearestK(w http.ResponseWriter, r *http.Request, ep *epoc
 			if err != nil {
 				return nil, err
 			}
-			res := nearestKResponse{K: k, Count: len(ns), Kind: ep.kindTag, Neighbors: make([]nearestResponse, len(ns))}
+			res := nearestKResponse{K: k, Count: len(ns), Kind: ep.root.kind, Neighbors: make([]nearestResponse, len(ns))}
 			for i, n := range ns {
 				res.Neighbors[i] = nearestResponse{
 					ID: n.ID, X: n.At.P.X, Y: n.At.P.Y, Z: n.At.P.Z, Distance: n.Planar, Index: n.Member,
@@ -329,7 +307,7 @@ func (s *Server) handleNearestK(w http.ResponseWriter, r *http.Request, ep *epoc
 		}
 		return s.writeJSON(w, http.StatusOK, v)
 	}
-	tgt, status, msg := s.resolve(ep, index, &x, &y)
+	tgt, status, msg := s.resolve(ep, index)
 	if tgt == nil {
 		return s.writeError(w, status, "%s", msg)
 	}
@@ -414,7 +392,7 @@ func (s *Server) handleIsochrone(w http.ResponseWriter, r *http.Request) int {
 		return status // a non-finite budget is rejected and counted like a bad coordinate
 	}
 	ep := s.epoch()
-	tgt, status, msg := s.resolve(ep, req.Index, nil, nil) // id-addressed: unnamed multi is ambiguous
+	tgt, status, msg := s.resolve(ep, req.Index) // id-addressed: an unnamed legacy multi is ambiguous
 	if tgt == nil {
 		return s.writeError(w, status, "%s", msg)
 	}
