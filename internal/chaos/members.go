@@ -7,13 +7,14 @@ import (
 )
 
 // FailMembers simulates member-body decode failures on a loaded multi
-// index: the named members are removed from the routing tables and
-// returned as a quarantine list, exactly as if their container bodies had
-// failed their CRCs in a degraded load. The on-disk file is untouched —
-// this rehearses degraded serving (503s for quarantined members, /readyz
-// quorum) without corrupting anything. Unknown names and non-multi
-// indexes are errors: an operator asking to fail a member that does not
-// exist is holding the wrong flag.
+// index: the named members are quarantined through
+// core.ShardedIndex.Quarantine, exactly as if their container bodies had
+// failed their CRCs in a degraded load — on a LOD container the survivors
+// keep the global id space, the portals and the coarse level. The on-disk
+// file is untouched: this rehearses degraded serving (503s for quarantined
+// members, /readyz quorum) without corrupting anything. Unknown names and
+// non-multi indexes are errors: an operator asking to fail a member that
+// does not exist is holding the wrong flag.
 func FailMembers(idx core.DistanceIndex, names []string) (core.DistanceIndex, []core.Quarantined, error) {
 	if len(names) == 0 {
 		return idx, nil, nil
@@ -22,33 +23,9 @@ func FailMembers(idx core.DistanceIndex, names []string) (core.DistanceIndex, []
 	if !ok {
 		return nil, nil, fmt.Errorf("chaos: cannot fail members of a single %s index", idx.Stats().Kind)
 	}
-	fail := make(map[string]bool, len(names))
-	for _, n := range names {
-		if _, ok := sh.Member(n); !ok {
-			return nil, nil, fmt.Errorf("chaos: no member named %q to fail (members: %v)", n, sh.MemberNames())
-		}
-		fail[n] = true
-	}
-	var survivors []core.ShardMember
-	var quarantined []core.Quarantined
-	for _, m := range sh.Members() {
-		if fail[m.Name] {
-			quarantined = append(quarantined, core.Quarantined{
-				Name: m.Name,
-				Kind: m.Index.Stats().Kind,
-				BBox: m.BBox,
-				Err:  fmt.Errorf("chaos: injected member decode failure"),
-			})
-			continue
-		}
-		survivors = append(survivors, m)
-	}
-	if len(survivors) == 0 {
-		return nil, nil, fmt.Errorf("chaos: failing %v would leave no members", names)
-	}
-	out, err := core.NewShardedIndex(survivors)
+	out, quarantined, err := sh.Quarantine(names, fmt.Errorf("chaos: injected member decode failure"))
 	if err != nil {
-		return nil, nil, fmt.Errorf("chaos: rebuilding the surviving members: %w", err)
+		return nil, nil, fmt.Errorf("chaos: %w", err)
 	}
 	return out, quarantined, nil
 }

@@ -237,7 +237,7 @@ func TestFlatTileChargeCoversInflatedPoints(t *testing.T) {
 	var heap int64
 	tiles := 0
 	for _, m := range l.Members() {
-		lm := m.Index.(*lazyMember)
+		lm := lazyOf(m.Index)
 		if lm.kind == KindFlat {
 			if _, _, _, err := lm.Nearest(0, 0); err != nil {
 				t.Fatalf("%s: Nearest: %v", m.Name, err)

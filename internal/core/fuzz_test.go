@@ -255,7 +255,7 @@ func exerciseLoaded(idx DistanceIndex) {
 		_, _, _, _ = x.Nearest(0, 0)
 	case *ShardedIndex:
 		for _, m := range x.Members() {
-			if lm, ok := m.Index.(*lazyMember); ok {
+			if lm := lazyOf(m.Index); lm != nil {
 				if mi, err := lm.get(); err == nil {
 					_, _ = mi.Query(0, 0)
 				}

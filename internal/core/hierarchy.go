@@ -323,6 +323,26 @@ func decodePortalsSec(payload []byte) ([]PortalLink, error) {
 	return links, nil
 }
 
+// newMulti assembles a multi index over members and attaches the hierarchy
+// h (nil for a plain multi): members[k] sits at manifest ordinal ords[k],
+// and names holds every ordinal's manifest name, quarantined ones included.
+// The build, the decoder and Quarantine all assemble through it.
+func newMulti(members []ShardMember, h *hierMeta, ords []int, names []string) (*ShardedIndex, error) {
+	sh, err := NewShardedIndex(members)
+	if err != nil || h == nil {
+		return sh, err
+	}
+	sh.hier, sh.ord, sh.ordName = h, ords, names
+	sh.memAt = make([]int, len(names))
+	for i := range sh.memAt {
+		sh.memAt[i] = -1
+	}
+	for k, o := range ords {
+		sh.memAt[o] = k
+	}
+	return sh, nil
+}
+
 // --- global id space ----------------------------------------------------------
 
 // SupportsGlobal reports whether id-addressed queries on the multi index may
@@ -407,15 +427,15 @@ func surfacePointOf(idx DistanceIndex, local int32) (terrain.SurfacePoint, error
 			return terrain.SurfacePoint{}, fmt.Errorf("core: POI id %d outside the member point table (%d points)", local, len(pts))
 		}
 		return pts[local], nil
-	case *lazyMember:
-		inner, err := v.get()
+	}
+	if lm := lazyOf(idx); lm != nil {
+		inner, err := lm.get()
 		if err != nil {
 			return terrain.SurfacePoint{}, err
 		}
 		return surfacePointOf(inner, local)
-	default:
-		return terrain.SurfacePoint{}, fmt.Errorf("core: member kind %s carries no point table", idx.Stats().Kind)
 	}
+	return terrain.SurfacePoint{}, fmt.Errorf("core: member kind %s carries no point table", idx.Stats().Kind)
 }
 
 // globalPoint is resolveGlobal + surfacePointOf, the isochrone workload's
@@ -725,7 +745,7 @@ func (sh *ShardedIndex) TileStats() (TileStats, bool) {
 		ts.Faults = sh.rs.faults.Load()
 		ts.Evictions = sh.rs.evictions.Load()
 		for _, m := range sh.members {
-			if _, lazy := m.Index.(*lazyMember); !lazy {
+			if lazyOf(m.Index) == nil {
 				ts.Resident++ // built or eagerly decoded members are pinned
 			}
 		}
@@ -733,29 +753,6 @@ func (sh *ShardedIndex) TileStats() (TileStats, bool) {
 		ts.Resident = len(sh.members)
 	}
 	return ts, true
-}
-
-// memberNearest answers one member's Nearest. On a hierarchical index the
-// member's synthetic portal POIs are filtered out (they are routing
-// infrastructure, not indexed endpoints): enough neighbors are requested to
-// step over every portal.
-func (sh *ShardedIndex) memberNearest(k int, x, y float64) (int32, terrain.SurfacePoint, float64, error) {
-	m := sh.members[k]
-	if sh.hier != nil {
-		ord := int32(sh.ord[k])
-		if pc := sh.hier.portalCount(ord); pc > 0 {
-			ns, err := sh.memberNearestK(k, x, y, 1)
-			if err != nil {
-				return -1, terrain.SurfacePoint{}, 0, err
-			}
-			return ns[0].ID, ns[0].At, ns[0].Planar, nil
-		}
-	}
-	nf, ok := m.Index.(NearestFinder)
-	if !ok {
-		return -1, terrain.SurfacePoint{}, 0, fmt.Errorf("core: member %q answers no nearest queries", m.Name)
-	}
-	return nf.Nearest(x, y)
 }
 
 // memberNearestK answers one member's NearestK with portal POIs filtered
@@ -805,14 +802,10 @@ func (sh *ShardedIndex) memberNearestK(k int, x, y float64, want int) ([]Neighbo
 // with CrossMemberError, the structured form the serving layer maps to 422,
 // and a same-member pair fails naming the member's kind.
 
-// pointMember returns a member's point capability, nil when it has none. A
-// lazy member implements it for every kind, so it is judged by its manifest
-// kind instead — only a2a bodies answer point queries — and routing never
-// faults a member in just to learn that it cannot answer.
+// pointMember returns a member's point capability, nil when it has none.
+// Only a2a members (and an a2a member's lazy shell) have it, so routing
+// never faults a member in just to learn that it cannot answer.
 func pointMember(idx DistanceIndex) pointIndex {
-	if lm, ok := idx.(*lazyMember); ok && lm.kind != KindA2A {
-		return nil
-	}
 	pi, _ := idx.(pointIndex)
 	return pi
 }

@@ -241,8 +241,8 @@ var (
 	_ MappedIndex    = (*ShardedIndex)(nil)
 	_ PointIndex     = (*ShardedIndex)(nil)
 	_ PointPathIndex = (*ShardedIndex)(nil)
-	_ PointIndex     = (*lazyMember)(nil)
-	_ PointPathIndex = (*lazyMember)(nil)
+	_ PointIndex     = lazyPointMember{}
+	_ PointPathIndex = lazyPointMember{}
 	_ NearestFinder  = (*lazyMember)(nil)
 	_ NearestKFinder = (*lazyMember)(nil)
 	_ MatrixIndex    = (*lazyMember)(nil)

@@ -133,13 +133,13 @@ func (rs *residentSet) residency() (resident int, bytes int64) {
 }
 
 // lazyMember is one undecoded member of a budgeted multi load: the byte
-// range of its container section, decoded through loadMember on first touch
-// and evictable afterwards. It implements every capability interface of the
-// repo; a capability the decoded body lacks errors at call time, exactly as
-// the eager load's type assertions would have skipped it.
+// range of its container section, decoded through decodeMember on first
+// touch and evictable afterwards. It implements the capabilities every
+// member kind has; an a2a member's shell (lazyPointMember) adds the point
+// capability only a2a bodies have, so a type assertion judges a lazy member
+// as it judges the eagerly decoded body, without faulting it in.
 type lazyMember struct {
 	rs      *residentSet
-	ordinal int32 // manifest ordinal
 	name    string
 	kind    Kind // manifest kind, enforced against the body at fault time
 	payload []byte
@@ -159,6 +159,34 @@ type lazyMember struct {
 
 	mu       sync.Mutex // serializes faulting; ordered before rs.mu
 	faultErr error      // sticky first fault failure, guarded by mu
+}
+
+// lazyPointMember is the shell of an a2a member: a lazyMember that also
+// answers point distances and point paths.
+type lazyPointMember struct{ *lazyMember }
+
+// newLazyMember registers an undecoded member with rs and returns its shell:
+// a lazyPointMember for an a2a manifest kind, else a lazyMember.
+func newLazyMember(rs *residentSet, lm *lazyMember) DistanceIndex {
+	lm.rs = rs
+	lm.shape = flatShape(lm.payload, lm.kind)
+	rs.members = append(rs.members, lm)
+	if lm.kind == KindA2A {
+		return lazyPointMember{lm}
+	}
+	return lm
+}
+
+// lazyOf returns the lazy shell behind a member of a budgeted load, nil for
+// a decoded member.
+func lazyOf(idx DistanceIndex) *lazyMember {
+	switch v := idx.(type) {
+	case *lazyMember:
+		return v
+	case lazyPointMember:
+		return v.lazyMember
+	}
+	return nil
 }
 
 // touch stamps the member's LRU recency.
@@ -185,7 +213,7 @@ func (lm *lazyMember) fault() (DistanceIndex, error) {
 	if lm.faultErr != nil {
 		return nil, lm.faultErr
 	}
-	idx, err := lm.decode()
+	idx, err := decodeMember(lm.payload, lm.keep, lm.kind, lm.npois, lm.expectPts, lm.rs.sharedMesh)
 	if err != nil {
 		lm.faultErr = fmt.Errorf("%w: member %q: %v", ErrMemberFault, lm.name, err)
 		return nil, lm.faultErr
@@ -204,40 +232,6 @@ func budgetCharge(idx DistanceIndex) int64 {
 		return f.inflatedBytes()
 	}
 	return idx.MemoryBytes()
-}
-
-// decode is the fault-time body of decodeMulti's eager per-member
-// validation: decode, kind check, nesting check, shared-mesh attach, and
-// the hierarchy's point-count check.
-func (lm *lazyMember) decode() (DistanceIndex, error) {
-	idx, err := loadMember(lm.payload, lm.keep)
-	if err != nil {
-		return nil, err
-	}
-	if got := idx.Stats().Kind; got != lm.kind {
-		return nil, fmt.Errorf("manifest says kind %s, body holds %s", lm.kind, got)
-	}
-	shared, err := lm.rs.sharedMesh()
-	if err != nil {
-		return nil, err
-	}
-	if o, ok := idx.(*Oracle); ok && o.Mesh() == nil && shared != nil {
-		for j, p := range o.Points() {
-			if err := checkMeshPoint(p, shared); err != nil {
-				return nil, fmt.Errorf("POI %d against the shared mesh: %w", j, err)
-			}
-		}
-		o.flat.mesh = shared
-	}
-	if fo, ok := idx.(*FlatOracle); ok && fo.meshC == nil && shared != nil {
-		fo.mesh = shared
-	}
-	if lm.expectPts >= 0 {
-		if got := idx.Stats().Points; int64(got) != lm.expectPts {
-			return nil, fmt.Errorf("hierarchy expects %d points (%d POIs + portals), body holds %d", lm.expectPts, lm.npois, got)
-		}
-	}
-	return idx, nil
 }
 
 // --- DistanceIndex ------------------------------------------------------------
@@ -322,51 +316,9 @@ func (lm *lazyMember) EncodeTo(w io.Writer) error {
 
 // --- capability pass-throughs ---------------------------------------------
 //
-// Each asserts the capability on the decoded body at call time. A body
-// without it returns an error, which every fan-out caller
-// (NearestAcross, NearestKAcrossCtx) already treats as "member cannot
-// answer".
-
-// QueryPoints answers an arbitrary-point query through the decoded body.
-// Part of PointIndex.
-func (lm *lazyMember) QueryPoints(s, t terrain.SurfacePoint) (float64, error) {
-	idx, err := lm.get()
-	if err != nil {
-		return 0, err
-	}
-	pi, ok := idx.(PointIndex)
-	if !ok {
-		return 0, fmt.Errorf("core: member %q (kind %s) answers no point queries", lm.name, lm.kind)
-	}
-	return pi.QueryPoints(s, t)
-}
-
-// Project lifts planar coordinates onto the member's surface. Part of
-// PointIndex; a fault failure reports "outside the terrain".
-func (lm *lazyMember) Project(x, y float64) (terrain.SurfacePoint, bool) {
-	idx, err := lm.get()
-	if err != nil {
-		return terrain.SurfacePoint{}, false
-	}
-	pi, ok := idx.(PointIndex)
-	if !ok {
-		return terrain.SurfacePoint{}, false
-	}
-	return pi.Project(x, y)
-}
-
-// QueryXY answers the planar-coordinate query form. Part of PointIndex.
-func (lm *lazyMember) QueryXY(sx, sy, tx, ty float64) (float64, error) {
-	idx, err := lm.get()
-	if err != nil {
-		return 0, err
-	}
-	pi, ok := idx.(PointIndex)
-	if !ok {
-		return 0, fmt.Errorf("core: member %q (kind %s) answers no point queries", lm.name, lm.kind)
-	}
-	return pi.QueryXY(sx, sy, tx, ty)
-}
+// Each asserts the capability on the decoded body at call time. Every member
+// kind has the capabilities below, so the assertions hold for any body that
+// passed decodeMember's kind check.
 
 // QueryPath reports the surface path behind an id-addressed query. Part of
 // PathIndex.
@@ -380,34 +332,6 @@ func (lm *lazyMember) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, er
 		return nil, 0, fmt.Errorf("core: member %q (kind %s) reports no paths", lm.name, lm.kind)
 	}
 	return pi.QueryPath(s, t)
-}
-
-// QueryPathPoints reports the surface path between arbitrary points. Part
-// of PointPathIndex.
-func (lm *lazyMember) QueryPathPoints(s, t terrain.SurfacePoint) ([]terrain.SurfacePoint, float64, error) {
-	idx, err := lm.get()
-	if err != nil {
-		return nil, 0, err
-	}
-	pi, ok := idx.(PointPathIndex)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: member %q (kind %s) reports no point paths", lm.name, lm.kind)
-	}
-	return pi.QueryPathPoints(s, t)
-}
-
-// QueryPathXY reports the surface path between planar coordinates. Part of
-// PointPathIndex.
-func (lm *lazyMember) QueryPathXY(sx, sy, tx, ty float64) ([]terrain.SurfacePoint, float64, error) {
-	idx, err := lm.get()
-	if err != nil {
-		return nil, 0, err
-	}
-	pi, ok := idx.(PointPathIndex)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: member %q (kind %s) reports no point paths", lm.name, lm.kind)
-	}
-	return pi.QueryPathXY(sx, sy, tx, ty)
 }
 
 // Nearest reports the indexed endpoint nearest a planar position. Part of
@@ -462,4 +386,67 @@ func (lm *lazyMember) Reachable(src int32, d float64) ([]Reached, error) {
 		return nil, fmt.Errorf("core: member %q (kind %s) answers no reachability queries", lm.name, lm.kind)
 	}
 	return ri.Reachable(src, d)
+}
+
+// --- the a2a point capability ---------------------------------------------
+
+// points faults the a2a body in and returns its point capability.
+func (lp lazyPointMember) points() (pointIndex, error) {
+	idx, err := lp.get()
+	if err != nil {
+		return nil, err
+	}
+	pi, ok := idx.(pointIndex)
+	if !ok {
+		return nil, fmt.Errorf("core: member %q (kind %s) answers no point queries", lp.name, lp.kind)
+	}
+	return pi, nil
+}
+
+// QueryPoints answers an arbitrary-point query. Part of PointIndex.
+func (lp lazyPointMember) QueryPoints(s, t terrain.SurfacePoint) (float64, error) {
+	pi, err := lp.points()
+	if err != nil {
+		return 0, err
+	}
+	return pi.QueryPoints(s, t)
+}
+
+// Project lifts planar coordinates onto the member's surface. Part of
+// PointIndex; a fault failure reports "outside the terrain".
+func (lp lazyPointMember) Project(x, y float64) (terrain.SurfacePoint, bool) {
+	pi, err := lp.points()
+	if err != nil {
+		return terrain.SurfacePoint{}, false
+	}
+	return pi.Project(x, y)
+}
+
+// QueryXY answers the planar-coordinate query form. Part of PointIndex.
+func (lp lazyPointMember) QueryXY(sx, sy, tx, ty float64) (float64, error) {
+	pi, err := lp.points()
+	if err != nil {
+		return 0, err
+	}
+	return pi.QueryXY(sx, sy, tx, ty)
+}
+
+// QueryPathPoints reports the surface path between arbitrary points. Part
+// of PointPathIndex.
+func (lp lazyPointMember) QueryPathPoints(s, t terrain.SurfacePoint) ([]terrain.SurfacePoint, float64, error) {
+	pi, err := lp.points()
+	if err != nil {
+		return nil, 0, err
+	}
+	return pi.QueryPathPoints(s, t)
+}
+
+// QueryPathXY reports the surface path between planar coordinates. Part of
+// PointPathIndex.
+func (lp lazyPointMember) QueryPathXY(sx, sy, tx, ty float64) ([]terrain.SurfacePoint, float64, error) {
+	pi, err := lp.points()
+	if err != nil {
+		return nil, 0, err
+	}
+	return pi.QueryPathXY(sx, sy, tx, ty)
 }

@@ -11,18 +11,20 @@ import (
 // tiles were written flat: an SE oracle goes out as an se container (without
 // its mesh when the container shares it). Every other member encodes as
 // encodeMember does.
-func legacyMember(idx DistanceIndex, shared *terrain.Mesh) (Kind, []byte, error) {
+func legacyMember(idx DistanceIndex, shared *terrain.Mesh) (Kind, func() ([]byte, error)) {
 	o, ok := idx.(*Oracle)
 	if !ok {
 		return encodeMember(idx, shared)
 	}
-	mesh := o.Mesh()
-	if mesh == shared {
-		mesh = nil
+	return KindSE, func() ([]byte, error) {
+		mesh := o.Mesh()
+		if mesh == shared {
+			mesh = nil
+		}
+		var buf bytes.Buffer
+		err := o.encodeContainer(&buf, mesh)
+		return buf.Bytes(), err
 	}
-	var buf bytes.Buffer
-	err := o.encodeContainer(&buf, mesh)
-	return KindSE, buf.Bytes(), err
 }
 
 // encodeLegacy writes sh exactly as the se-tile writer did, so the tests can

@@ -111,20 +111,16 @@ type coarsePlan struct {
 
 // shardPlan is everything about a sharded build that is decided before any
 // geodesic work runs: the tile partition (with portals already appended to
-// the affected tiles' POI lists), the canonical portal link table, the coarse
-// member list, and the hierarchy arrays as they will appear on disk. Both
-// build paths (resident BuildShardedLOD and streaming WriteSharded) run the
-// same plan, which is what makes their outputs byte-identical.
+// the affected tiles' POI lists), the coarse member list, and the validated
+// hierarchy (levels, parents, POI counts and the canonical portal links, as
+// they will appear on disk). Both build paths (resident BuildShardedLOD and
+// streaming WriteSharded) run the same plan, which is what makes their
+// outputs byte-identical.
 type shardPlan struct {
 	tiles    []tilePlan
-	links    []PortalLink
 	coarse   []coarsePlan
 	terrBBox BBox2D
-
-	// levels/parents/npois are nil for a plain (non-hierarchical) plan.
-	levels  []uint16
-	parents []int32
-	npois   []int64
+	hier     *hierMeta // nil for a plain (non-hierarchical) plan
 }
 
 func (pl *shardPlan) numMembers() int { return len(pl.tiles) + len(pl.coarse) }
@@ -165,6 +161,7 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 	// surface (points the terrain cannot project are skipped). The same
 	// surface point is appended to both tiles, so a stitched path meets
 	// bit-identically at the portal.
+	var links []PortalLink
 	per := opt.PortalsPerEdge
 	if per == 0 {
 		per = DefaultPortalsPerEdge
@@ -196,7 +193,7 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 				if !ok {
 					continue
 				}
-				pl.links = append(pl.links, PortalLink{
+				links = append(links, PortalLink{
 					A: int32(a), B: int32(b),
 					IDA: int32(len(tiles[a].pois)), IDB: int32(len(tiles[b].pois)),
 				})
@@ -205,8 +202,8 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 			}
 		}
 	}
-	if len(pl.links) > maxPortalLinks {
-		return nil, fmt.Errorf("core: plan holds %d portal links (max %d)", len(pl.links), maxPortalLinks)
+	if len(links) > maxPortalLinks {
+		return nil, fmt.Errorf("core: plan holds %d portal links (max %d)", len(links), maxPortalLinks)
 	}
 
 	// One coarse A2A member per extra level, site density halving per level.
@@ -229,21 +226,28 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 	}
 
 	n := pl.numMembers()
-	pl.levels = make([]uint16, n)
-	pl.parents = make([]int32, n)
-	pl.npois = make([]int64, n)
+	levels := make([]uint16, n)
+	parents := make([]int32, n)
+	npois := make([]int64, n)
+	bboxes := make([]BBox2D, n)
 	for i := range tiles {
-		pl.parents[i] = int32(len(tiles)) // the level-1 coarse member
-		pl.npois[i] = tiles[i].npois
+		parents[i] = int32(len(tiles)) // the level-1 coarse member
+		npois[i] = tiles[i].npois
 	}
 	for j := range pl.coarse {
 		i := len(tiles) + j
-		pl.levels[i] = pl.coarse[j].level
+		levels[i] = pl.coarse[j].level
 		if j+1 < len(pl.coarse) {
-			pl.parents[i] = int32(i + 1)
+			parents[i] = int32(i + 1)
 		} else {
-			pl.parents[i] = -1
+			parents[i] = -1
 		}
+	}
+	for i := range bboxes {
+		_, _, bboxes[i] = pl.memberIdentity(i)
+	}
+	if pl.hier, err = buildHierMeta(levels, parents, npois, links, bboxes); err != nil {
+		return nil, fmt.Errorf("core: plan produced an invalid hierarchy: %w", err)
 	}
 	return pl, nil
 }
@@ -284,31 +288,6 @@ func (pl *shardPlan) buildOrder() []int {
 	return order
 }
 
-// attachHier turns the plan's hierarchy arrays into the index's validated
-// routing tables. All members are present (a fresh build has no quarantine),
-// so every mapping is the identity.
-func (pl *shardPlan) attachHier(sh *ShardedIndex) error {
-	if pl.levels == nil {
-		return nil
-	}
-	bboxes := make([]BBox2D, pl.numMembers())
-	names := make([]string, pl.numMembers())
-	ident := make([]int, pl.numMembers())
-	for i := range bboxes {
-		names[i], _, bboxes[i] = pl.memberIdentity(i)
-		ident[i] = i
-	}
-	h, err := buildHierMeta(pl.levels, pl.parents, pl.npois, pl.links, bboxes)
-	if err != nil {
-		return fmt.Errorf("core: plan produced an invalid hierarchy: %w", err)
-	}
-	sh.hier = h
-	sh.ord = ident
-	sh.memAt = append([]int(nil), ident...)
-	sh.ordName = names
-	return nil
-}
-
 // BuildShardedLOD builds a hierarchical multi index: the fine SE tile grid of
 // BuildShardedSE augmented with boundary portals on shared tile edges, plus
 // opt.Levels-1 coarse A2A members spanning the whole terrain (long-range
@@ -345,18 +324,14 @@ func BuildShardedLOD(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.Surfac
 		}
 	}
 	members := make([]ShardMember, n)
+	ords := make([]int, n)
+	names := make([]string, n)
 	for i := range members {
 		name, _, bbox := pl.memberIdentity(i)
 		members[i] = ShardMember{Name: name, BBox: bbox, Index: built[i]}
+		ords[i], names[i] = i, name
 	}
-	sh, err := NewShardedIndex(members)
-	if err != nil {
-		return nil, err
-	}
-	if err := pl.attachHier(sh); err != nil {
-		return nil, err
-	}
-	return sh, nil
+	return newMulti(members, pl.hier, ords, names)
 }
 
 // --- streaming tiled encode ---------------------------------------------------
@@ -391,53 +366,25 @@ func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terr
 	if err != nil {
 		return sum, err
 	}
-	sum.FineTiles, sum.CoarseTiles, sum.Portals = len(pl.tiles), len(pl.coarse), len(pl.links)
+	sum.FineTiles, sum.CoarseTiles = len(pl.tiles), len(pl.coarse)
+	if pl.hier != nil {
+		sum.Portals = len(pl.hier.portals)
+	}
 	for i := range pl.tiles {
 		sum.Points += int(pl.tiles[i].npois)
 	}
-
-	n := pl.numMembers()
-	nsect := 2 + n // manifest + shared mesh + members
-	if pl.levels != nil {
-		nsect++
-		if len(pl.links) > 0 {
-			nsect++
-		}
-	}
-	cw, err := newContainerWriter(w, KindMulti, nsect)
-	if err != nil {
-		return sum, err
-	}
-	if err := cw.section(manifestSection(n, pl.memberIdentity)); err != nil {
-		return sum, err
-	}
-	if pl.levels != nil {
-		if err := cw.section(hierarchySection(pl.levels, pl.parents, pl.npois)); err != nil {
-			return sum, err
-		}
-		if len(pl.links) > 0 {
-			if err := cw.section(portalsSection(pl.links)); err != nil {
-				return sum, err
-			}
-		}
-	}
-	if err := cw.section(meshSection(secMesh, m)); err != nil {
-		return sum, err
-	}
 	b := newBudget(opt.Workers)
-	for i := 0; i < n; i++ {
+	return sum, writeMulti(w, pl.numMembers(), pl.memberIdentity, pl.hier, func(i int) ([]byte, error) {
 		idx, err := pl.buildMember(eng, m, i, opt.Options, b)
 		if err != nil {
-			return sum, err
+			return nil, err
 		}
-		_, body, err := encodeMember(idx, m)
+		_, encode := encodeMember(idx, m)
+		body, err := encode()
 		if err != nil {
 			name, _, _ := pl.memberIdentity(i)
-			return sum, fmt.Errorf("core: encoding member %q: %w", name, err)
+			return nil, fmt.Errorf("core: encoding member %q: %w", name, err)
 		}
-		if err := cw.section(bytesSection(secMemberBase+uint32(i), body)); err != nil {
-			return sum, err
-		}
-	}
-	return sum, cw.finish()
+		return body, nil
+	}, meshSection(secMesh, m))
 }

@@ -53,7 +53,7 @@ func TestMemoryBytesBuiltMatchesLoaded(t *testing.T) {
 			}
 			for i, m := range members {
 				got := m.Index
-				if lm, ok := got.(*lazyMember); ok {
+				if lm := lazyOf(got); lm != nil {
 					if got, err = lm.get(); err != nil {
 						t.Fatalf("%s %s member %q: fault: %v", layout.name, mode, m.Name, err)
 					}

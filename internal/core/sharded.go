@@ -306,7 +306,7 @@ func (sh *ShardedIndex) Stats() IndexStats {
 // section secMemberBase+i, in manifest order.
 
 // manifestSection streams the manifest of n members whose identities entry
-// reports. The resident encoder and the streaming tiled build share it.
+// reports (see writeMulti).
 func manifestSection(n int, entry func(i int) (name string, kind Kind, bbox BBox2D)) section {
 	length := uint64(8)
 	for i := 0; i < n; i++ {
@@ -359,11 +359,11 @@ func (sh *ShardedIndex) sharedMesh() *terrain.Mesh {
 // terrain — embedding it per member would store K identical copies), then
 // every member's own container bytes. SE oracle members are written in the
 // flat layout (see encodeMember), so a member load is a checksum and a slab
-// slice, never a decode. Members are buffered one at a time (their
-// containers are deterministic, so decode → re-encode stays byte-identical
-// member by member); lazy members re-emit their retained section bytes
-// verbatim, so a budgeted load re-encodes byte-identically without faulting
-// anything in.
+// slice, never a decode. Members are encoded one at a time, each written
+// before the next is encoded (their containers are deterministic, so decode
+// → re-encode stays byte-identical member by member); lazy members re-emit
+// their retained section bytes verbatim, so a budgeted load re-encodes
+// byte-identically without faulting anything in.
 //
 // A degraded hierarchical index (quarantined members) refuses to re-encode:
 // the hierarchy's ordinals, global id bases and portal links all reference
@@ -371,30 +371,35 @@ func (sh *ShardedIndex) sharedMesh() *terrain.Mesh {
 // would silently renumber the id space.
 func (sh *ShardedIndex) EncodeTo(w io.Writer) error { return sh.encode(w, encodeMember) }
 
-// memberEncoder encodes one member for a multi container and reports the
-// kind its manifest entry names. shared is the mesh the container hoists
+// memberEncoder reports the kind member idx's manifest entry names and a
+// function that encodes its body. shared is the mesh the container hoists
 // into its shared section (nil when there is none).
-type memberEncoder func(idx DistanceIndex, shared *terrain.Mesh) (Kind, []byte, error)
+type memberEncoder func(idx DistanceIndex, shared *terrain.Mesh) (Kind, func() ([]byte, error))
 
 // encodeMember is the multi container's member encoder: an SE oracle goes
 // out as a flat container (without its mesh when the container shares it),
 // a lazy member re-emits its retained bytes, and every other kind encodes as
 // itself.
-func encodeMember(idx DistanceIndex, shared *terrain.Mesh) (Kind, []byte, error) {
-	var buf bytes.Buffer
-	switch v := idx.(type) {
-	case *lazyMember:
-		return v.kind, v.payload, nil
-	case *Oracle:
-		mesh := v.Mesh()
-		if mesh == shared {
-			mesh = nil // hoisted into the shared section
-		}
-		err := v.encodeFlatContainer(&buf, mesh)
-		return KindFlat, buf.Bytes(), err
+func encodeMember(idx DistanceIndex, shared *terrain.Mesh) (Kind, func() ([]byte, error)) {
+	if lm := lazyOf(idx); lm != nil {
+		return lm.kind, func() ([]byte, error) { return lm.payload, nil }
 	}
-	err := idx.EncodeTo(&buf)
-	return idx.Stats().Kind, buf.Bytes(), err
+	if o, ok := idx.(*Oracle); ok {
+		return KindFlat, func() ([]byte, error) {
+			mesh := o.Mesh()
+			if mesh == shared {
+				mesh = nil // hoisted into the shared section
+			}
+			var buf bytes.Buffer
+			err := o.encodeFlatContainer(&buf, mesh)
+			return buf.Bytes(), err
+		}
+	}
+	return idx.Stats().Kind, func() ([]byte, error) {
+		var buf bytes.Buffer
+		err := idx.EncodeTo(&buf)
+		return buf.Bytes(), err
+	}
 }
 
 // encode writes the container with the given member encoder.
@@ -404,33 +409,63 @@ func (sh *ShardedIndex) encode(w io.Writer, enc memberEncoder) error {
 			len(sh.members), len(sh.hier.levels))
 	}
 	var shared *terrain.Mesh
-	if sh.rs == nil {
-		shared = sh.sharedMesh()
+	var mesh []section
+	if sh.rawMesh != nil {
+		mesh = append(mesh, bytesSection(secMesh, sh.rawMesh))
+	} else if shared = sh.sharedMesh(); shared != nil {
+		mesh = append(mesh, meshSection(secMesh, shared))
 	}
 	kinds := make([]Kind, len(sh.members))
-	bodies := make([]section, len(sh.members))
+	bodies := make([]func() ([]byte, error), len(sh.members))
 	for i, m := range sh.members {
-		kind, body, err := enc(m.Index, shared)
-		if err != nil {
-			return fmt.Errorf("core: encoding member %q: %w", m.Name, err)
-		}
-		kinds[i], bodies[i] = kind, bytesSection(secMemberBase+uint32(i), body)
+		kinds[i], bodies[i] = enc(m.Index, shared)
 	}
-	secs := []section{manifestSection(len(sh.members), func(i int) (string, Kind, BBox2D) {
+	return writeMulti(w, len(sh.members), func(i int) (string, Kind, BBox2D) {
 		return sh.members[i].Name, kinds[i], sh.members[i].BBox
-	})}
-	if sh.hier != nil {
-		secs = append(secs, hierarchySection(sh.hier.levels, sh.hier.parents, sh.hier.npois))
-		if len(sh.hier.portals) > 0 {
-			secs = append(secs, portalsSection(sh.hier.portals))
+	}, sh.hier, func(i int) ([]byte, error) {
+		body, err := bodies[i]()
+		if err != nil {
+			return nil, fmt.Errorf("core: encoding member %q: %w", sh.members[i].Name, err)
+		}
+		return body, nil
+	}, mesh...)
+}
+
+// writeMulti streams a multi container of n members: the manifest (entry
+// reports member i's identity), the hierarchy and portal sections when h is
+// non-nil, the shared mesh section when mesh holds one, then every member
+// body in manifest order. body(i) produces member i's container bytes, and
+// each body is written before the next is produced, so at most one is held
+// at a time. EncodeTo and WriteSharded both write through it, which is what
+// keeps a streamed build byte-identical to the resident one.
+func writeMulti(w io.Writer, n int, entry func(i int) (string, Kind, BBox2D), h *hierMeta, body func(i int) ([]byte, error), mesh ...section) error {
+	secs := []section{manifestSection(n, entry)}
+	if h != nil {
+		secs = append(secs, hierarchySection(h.levels, h.parents, h.npois))
+		if len(h.portals) > 0 {
+			secs = append(secs, portalsSection(h.portals))
 		}
 	}
-	if sh.rawMesh != nil {
-		secs = append(secs, bytesSection(secMesh, sh.rawMesh))
-	} else if shared != nil {
-		secs = append(secs, meshSection(secMesh, shared))
+	secs = append(secs, mesh...)
+	cw, err := newContainerWriter(w, KindMulti, len(secs)+n)
+	if err != nil {
+		return err
 	}
-	return writeContainer(w, KindMulti, append(secs, bodies...))
+	for _, s := range secs {
+		if err := cw.section(s); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < n; i++ {
+		b, err := body(i)
+		if err != nil {
+			return err
+		}
+		if err := cw.section(bytesSection(secMemberBase+uint32(i), b)); err != nil {
+			return err
+		}
+	}
+	return cw.finish()
 }
 
 // loadMember decodes one member body from its in-place section bytes. Every
@@ -452,25 +487,64 @@ func loadMember(payload []byte, keep any) (DistanceIndex, error) {
 	return decodeSections(kind, secs, keep)
 }
 
+// decodeMember is the one member decode of a multi load: loadMember, then
+// the checks against what the manifest and the hierarchy say of the member —
+// the manifest kind, the shared terrain mesh (an se member without its own
+// mesh adopts it once its POIs are checked against it; a flat member adopts
+// it unchecked and validates its POIs on its first path query, as the flat
+// layout defers every cold-slab decode), and the hierarchy's point count
+// (npois real POIs plus portals; expectPts < 0 skips the check). An eager
+// load runs it for every member at load time, a budgeted load at the
+// member's first fault.
+func decodeMember(payload []byte, keep any, kind Kind, npois, expectPts int64, shared func() (*terrain.Mesh, error)) (DistanceIndex, error) {
+	idx, err := loadMember(payload, keep)
+	if err != nil {
+		return nil, err
+	}
+	if got := idx.Stats().Kind; got != kind {
+		return nil, fmt.Errorf("manifest says kind %s, body holds %s", kind, got)
+	}
+	mesh, err := shared()
+	if err != nil {
+		return nil, err
+	}
+	if o, ok := idx.(*Oracle); ok && o.Mesh() == nil && mesh != nil {
+		for j, p := range o.Points() {
+			if err := checkMeshPoint(p, mesh); err != nil {
+				return nil, fmt.Errorf("POI %d against the shared mesh: %w", j, err)
+			}
+		}
+		o.flat.mesh = mesh
+	}
+	if fo, ok := idx.(*FlatOracle); ok && fo.meshC == nil && mesh != nil {
+		fo.mesh = mesh
+	}
+	if expectPts >= 0 {
+		if got := idx.Stats().Points; int64(got) != expectPts {
+			return nil, fmt.Errorf("hierarchy expects %d points (%d POIs + portals), body holds %d", expectPts, npois, got)
+		}
+	}
+	return idx, nil
+}
+
 // decodeMulti rebuilds a *ShardedIndex from a multi-kind section map. The
 // manifest is the source of truth: a member count that disagrees with the
 // member sections actually present (either direction), a manifest kind that
 // disagrees with a member's body, duplicate or malformed names, and invalid
 // bboxes are all corruption, not slack.
 //
-// In tolerant mode, member-level failures — a missing or undecodable member
-// body, a manifest/body kind mismatch, a member that fails shared-mesh
-// validation — quarantine the member instead of failing the load, and the
-// healthy rest are assembled. Manifest, hierarchy and shared-mesh damage
-// stays fatal in both modes: without a trustworthy manifest there is no
-// member identity to quarantine under. Tolerant loads fail only when every
-// member is damaged. keep is retained by zero-copy (flat) members whose
-// slabs alias the section bytes (see LoadBytesOpts).
+// In tolerant mode, member-level failures — a missing member section, or a
+// body that fails decodeMember — quarantine the member instead of failing
+// the load, and the healthy rest are assembled. Manifest, hierarchy and
+// shared-mesh damage stays fatal in both modes: without a trustworthy
+// manifest there is no member identity to quarantine under. Tolerant loads
+// fail only when every member is damaged. keep is retained by zero-copy
+// (flat) members whose slabs alias the section bytes (see LoadBytesOpts).
 //
-// Lazy mode (opt.MemBudget > 0, see lazy.go) defers each member's CRC check
-// and body decode — and therefore its kind, shared-mesh and point-count
-// validation — to the first query that touches it (a deliberate relaxation:
-// cold start must not pay for tiles the traffic never visits). A body that fails at fault time
+// Lazy mode (opt.MemBudget > 0, see lazy.go) defers each member's
+// decodeMember — its CRC check, body decode and validation — to the first
+// query that touches it (a deliberate relaxation: cold start must not pay
+// for tiles the traffic never visits). A body that fails at fault time
 // serves ErrMemberFault thereafter; only a missing member section is still
 // a load-time failure.
 func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
@@ -557,9 +631,9 @@ func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceInd
 		return nil, nil, fmt.Errorf("container holds a portal section but no hierarchy section")
 	}
 	// An optional shared mesh section carries the terrain the SE members
-	// tile; it is attached to every mesh-less SE member below so QueryPath
-	// works without storing one mesh copy per tile. Lazy loads keep the raw
-	// section and decode it on the first member fault instead.
+	// tile; decodeMember attaches it to every mesh-less SE member so
+	// QueryPath works without storing one mesh copy per tile. Lazy loads keep
+	// the raw section and decode it on the first member fault instead.
 	var shared *terrain.Mesh
 	if payload, ok := secs[secMesh]; ok && !lazy {
 		m, err := decodeMesh(payload)
@@ -568,6 +642,7 @@ func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceInd
 		}
 		shared = m
 	}
+	sharedMesh := func() (*terrain.Mesh, error) { return shared, nil }
 	var rs *residentSet
 	if lazy {
 		rs = &residentSet{budget: opt.MemBudget, rawMesh: secs[secMesh]}
@@ -575,84 +650,33 @@ func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceInd
 	var quarantined []Quarantined
 	members := make([]ShardMember, 0, count)
 	ords := make([]int, 0, count)
+	names := make([]string, len(entries))
 	for i, e := range entries {
-		// quarantine diverts a member-level failure into the quarantine list
-		// in tolerant mode; in strict mode the first failure aborts the load.
-		quarantine := func(err error) {
-			quarantined = append(quarantined, Quarantined{Name: e.name, Kind: e.kind, BBox: e.bbox, Err: err})
-		}
-		payload, ok := secs[secMemberBase+uint32(i)]
-		if !ok {
-			err := fmt.Errorf("manifest declares %d members, member %d (%q) has no section", count, i, e.name)
-			if !tolerant {
-				return nil, nil, err
-			}
-			quarantine(err)
-			continue
-		}
+		names[i] = e.name
 		npois, expectPts := int64(-1), int64(-1)
 		if hier != nil && hier.levels[i] == 0 {
 			npois, expectPts = hier.npois[i], hier.expectPts[i]
 		}
-		if lazy {
-			lm := &lazyMember{
-				rs: rs, ordinal: int32(i), name: e.name, kind: e.kind,
-				payload: payload, keep: keep, npois: npois, expectPts: expectPts,
-				shape: flatShape(payload, e.kind),
-			}
-			rs.members = append(rs.members, lm)
-			ords = append(ords, i)
-			members = append(members, ShardMember{Name: e.name, BBox: e.bbox, Index: lm})
-			continue
+		var idx DistanceIndex
+		var err error
+		payload, ok := secs[secMemberBase+uint32(i)]
+		switch {
+		case !ok:
+			err = fmt.Errorf("manifest declares %d members, member %d has no section", count, i)
+		case lazy:
+			idx = newLazyMember(rs, &lazyMember{name: e.name, kind: e.kind,
+				payload: payload, keep: keep, npois: npois, expectPts: expectPts})
+		default:
+			idx, err = decodeMember(payload, keep, e.kind, npois, expectPts, sharedMesh)
 		}
-		idx, err := loadMember(payload, keep)
 		if err != nil {
+			// In tolerant mode a member-level failure quarantines the member;
+			// in strict mode the first failure aborts the load.
 			if !tolerant {
 				return nil, nil, fmt.Errorf("member %q: %w", e.name, err)
 			}
-			quarantine(err)
+			quarantined = append(quarantined, Quarantined{Name: e.name, Kind: e.kind, BBox: e.bbox, Err: err})
 			continue
-		}
-		if got := idx.Stats().Kind; got != e.kind {
-			err := fmt.Errorf("member %q: manifest says kind %s, body holds %s", e.name, e.kind, got)
-			if !tolerant {
-				return nil, nil, err
-			}
-			quarantine(err)
-			continue
-		}
-		if o, ok := idx.(*Oracle); ok && o.Mesh() == nil && shared != nil {
-			meshErr := error(nil)
-			for j, p := range o.Points() {
-				if err := checkMeshPoint(p, shared); err != nil {
-					meshErr = fmt.Errorf("member %q POI %d against the shared mesh: %w", e.name, j, err)
-					break
-				}
-			}
-			if meshErr != nil {
-				if !tolerant {
-					return nil, nil, meshErr
-				}
-				quarantine(meshErr)
-				continue
-			}
-			o.flat.mesh = shared
-		}
-		if fo, ok := idx.(*FlatOracle); ok && fo.meshC == nil && shared != nil {
-			// A mesh-less flat member adopts the shared terrain; its POIs are
-			// validated against it lazily, on the first path query (the flat
-			// layout defers every cold-slab decode).
-			fo.mesh = shared
-		}
-		if expectPts >= 0 {
-			if got := idx.Stats().Points; int64(got) != expectPts {
-				err := fmt.Errorf("member %q: hierarchy expects %d points (%d POIs + portals), body holds %d", e.name, expectPts, npois, got)
-				if !tolerant {
-					return nil, nil, err
-				}
-				quarantine(err)
-				continue
-			}
 		}
 		ords = append(ords, i)
 		members = append(members, ShardMember{Name: e.name, BBox: e.bbox, Index: idx})
@@ -660,30 +684,54 @@ func decodeMulti(secs map[uint32][]byte, keep any, opt LoadOptions) (DistanceInd
 	if len(members) == 0 {
 		return nil, nil, fmt.Errorf("every member of the multi container failed to decode (first: %v)", quarantined[0].Err)
 	}
-	sh, err := NewShardedIndex(members)
+	sh, err := newMulti(members, hier, ords, names)
 	if err != nil {
 		return nil, nil, err
-	}
-	if hier != nil {
-		sh.hier = hier
-		sh.ord = ords
-		sh.memAt = make([]int, len(entries))
-		for i := range sh.memAt {
-			sh.memAt[i] = -1
-		}
-		for k, ordn := range ords {
-			sh.memAt[ordn] = k
-		}
-		sh.ordName = make([]string, len(entries))
-		for i, e := range entries {
-			sh.ordName[i] = e.name
-		}
 	}
 	if rs != nil {
 		sh.rs = rs
 		sh.rawMesh = secs[secMesh]
 	}
 	return sh, quarantined, nil
+}
+
+// Quarantine returns the index without the named members, served as a
+// tolerant load whose bodies for them failed to decode would serve it: the
+// survivors keep the hierarchy, so global ids stay stable (an id of a
+// quarantined member errors naming it) and straddling pairs still route
+// through portals and the coarse level. Each quarantined member is reported
+// with cause as its error. The receiver is left as it was; the new index
+// shares its member indexes and, on a budgeted load, its resident set.
+func (sh *ShardedIndex) Quarantine(names []string, cause error) (*ShardedIndex, []Quarantined, error) {
+	drop := make(map[string]bool, len(names))
+	for _, n := range names {
+		if _, ok := sh.byName[n]; !ok {
+			return nil, nil, fmt.Errorf("core: no member named %q to quarantine (members: %v)", n, sh.MemberNames())
+		}
+		drop[n] = true
+	}
+	var kept []ShardMember
+	var ords []int
+	var quarantined []Quarantined
+	for k, m := range sh.members {
+		if drop[m.Name] {
+			quarantined = append(quarantined, Quarantined{Name: m.Name, Kind: m.Index.Stats().Kind, BBox: m.BBox, Err: cause})
+			continue
+		}
+		kept = append(kept, m)
+		if sh.hier != nil {
+			ords = append(ords, sh.ord[k])
+		}
+	}
+	if len(kept) == 0 {
+		return nil, nil, fmt.Errorf("core: quarantining %v would leave no members", names)
+	}
+	out, err := newMulti(kept, sh.hier, ords, sh.ordName)
+	if err != nil {
+		return nil, nil, err
+	}
+	out.rs, out.rawMesh = sh.rs, sh.rawMesh
+	return out, quarantined, nil
 }
 
 // --- tiled construction -----------------------------------------------------
@@ -747,33 +795,16 @@ func BuildShardedSE(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.Surface
 // Two members at exactly equal planar distance tie toward the lower member
 // name — a property of the members themselves, not of manifest order, so
 // the winner is identical however the container was assembled or reloaded.
-// Members that cannot answer (no NearestFinder, or no point table) are
-// skipped; an error is returned only when no member produced an answer. On
-// a hierarchical index, coarse members are skipped (their sites are routing
-// infrastructure, not indexed endpoints) and synthetic portal POIs are
-// filtered out of fine members' answers.
+// It is NearestKAcross's single answer: members that cannot answer are
+// skipped, an error is returned only when no member produced an answer, and
+// on a hierarchical index coarse members are skipped (their sites are
+// routing infrastructure, not indexed endpoints) and synthetic portal POIs
+// are filtered out of fine members' answers.
 func (sh *ShardedIndex) NearestAcross(x, y float64) (ShardMember, int32, terrain.SurfacePoint, float64, error) {
-	var (
-		bm    ShardMember
-		bid   int32 = -1
-		bat   terrain.SurfacePoint
-		bestD = math.Inf(1)
-	)
-	for k, m := range sh.members {
-		if sh.hier != nil && sh.hier.levels[sh.ord[k]] != 0 {
-			continue
-		}
-		id, at, d, err := sh.memberNearest(k, x, y)
-		if err != nil {
-			continue
-		}
-		if d < bestD || (d == bestD && bid >= 0 && m.Name < bm.Name) {
-			bm, bid, bat, bestD = m, id, at, d
-		}
+	ns, err := sh.NearestKAcross(x, y, 1)
+	if err != nil {
+		return ShardMember{}, -1, terrain.SurfacePoint{}, 0, err
 	}
-	if bid < 0 {
-		return ShardMember{}, -1, terrain.SurfacePoint{}, 0,
-			fmt.Errorf("core: no member of the multi index answered a nearest query")
-	}
-	return bm, bid, bat, bestD, nil
+	n := ns[0]
+	return sh.members[sh.byName[n.Member]], n.ID, n.At, n.Planar, nil
 }

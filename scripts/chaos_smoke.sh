@@ -11,10 +11,15 @@
 #      (1 healthy of 2 is below quorum), /statsz carries the ops block.
 #      Steps 2 and 3 run twice: reading the file (core.Load) and mapping
 #      it (-mmap, core.LoadBytesOpts), the two callers of the one decoder
-#   4. fire loadgen at a chaos-injected server (-chaos-latency,
+#   4. fail a tile of a 4-shard 2-level LOD container by chaos
+#      (-chaos-fail-member tile-1-1 -degraded) and assert the survivors
+#      still serve as a degraded LOD: an unnamed global-id pair across
+#      healthy tiles and a straddling coordinate pair answer 200, routed
+#      through portals or the coarse level
+#   5. fire loadgen at a chaos-injected server (-chaos-latency,
 #      -chaos-error-rate) and assert on its JSON: injected 503s and added
 #      latency are visible, nothing else breaks
-#   5. restore the pristine file, SIGHUP the degraded server, and assert
+#   6. restore the pristine file, SIGHUP the degraded server, and assert
 #      /readyz recovers to 200 on the next generation with the formerly
 #      quarantined member serving again
 #
@@ -116,6 +121,41 @@ for MODE in read mmap; do
     SERVER_PID=""
 done
 
+# --- a degraded LOD rehearsed by chaos --------------------------------------
+# Failing tile-1-1 (the last fine tile, so it owns the highest global ids)
+# must leave the hierarchy in place: global ids owned by healthy tiles keep
+# answering across tiles, and a coordinate pair straddling two healthy tiles
+# is answered by coarse-1.
+say "building a 4-shard 2-level LOD container"
+"$TMP/sebuild" -kind=se -shards=4 -lod=2 -terrain "$TMP/terrain.off" -pois "$TMP/pois.txt" \
+    -out "$TMP/lod.sedx" -eps 0.2 -seed 7
+say "serving it with tile-1-1 failed by chaos"
+"$TMP/seserve" -index "$TMP/lod.sedx" -addr "127.0.0.1:$PORT" -degraded \
+    -chaos-fail-member tile-1-1 >"$TMP/lod.log" 2>&1 &
+SERVER_PID=$!
+wait_status /healthz 200
+stat_count() { curl -fsS "http://127.0.0.1:$PORT/statsz" >"$TMP/lodstats.json" && field "$TMP/lodstats.json" "$1"; }
+[ "$(code "http://127.0.0.1:$PORT/v1/query?s=0&t=39")" = "400" ] \
+    || { say "global id 39 of the failed tile-1-1 did not answer 400"; exit 1; }
+# The highest global id that still answers sits in the last healthy tile,
+# so the pair (0, T) crosses tiles and must take a portal or the coarse level.
+T=""
+for t in $(seq 38 -1 1); do
+    if [ "$(code "http://127.0.0.1:$PORT/v1/query?s=0&t=$t")" = "200" ]; then T="$t"; break; fi
+done
+[ -n "$T" ] || { say "no global id pair answers 200 on the degraded LOD"; exit 1; }
+BEFORE="$(( $(stat_count portal_queries) + $(stat_count coarse_queries) ))"
+[ "$(code "http://127.0.0.1:$PORT/v1/query?s=0&t=$T")" = "200" ] || { say "global ids 0 and $T do not answer 200"; exit 1; }
+AFTER="$(( $(stat_count portal_queries) + $(stat_count coarse_queries) ))"
+[ "$AFTER" -gt "$BEFORE" ] || { say "global ids 0 and $T answered without a portal or the coarse level"; exit 1; }
+COARSE="$(stat_count coarse_queries)"
+[ "$(code "http://127.0.0.1:$PORT/v1/query?sx=10&sy=10&tx=100&ty=20")" = "200" ] \
+    || { say "a straddling coordinate pair does not answer 200 on the degraded LOD"; exit 1; }
+[ "$(stat_count coarse_queries)" -gt "$COARSE" ] || { say "the straddling coordinate pair did not route to coarse-1"; exit 1; }
+say "degraded LOD: ids 0,$T and a straddling coordinate pair answer 200 with tile-1-1 failed"
+kill "$SERVER_PID" && wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+
 # --- chaos injection under load ---------------------------------------------
 # Every 4th request fails with an injected 503 and every data request gains
 # 20ms — loadgen's report must show exactly that shape: successes AND
@@ -163,4 +203,4 @@ grep -q '"generation":1' "$TMP/ready2.json" || { say "reload did not advance the
 [ "$(code "http://127.0.0.1:$PORT/v1/query?index=$QUAR&s=0&t=1")" = "200" ] \
     || { say "formerly quarantined member still unserved after reload"; exit 1; }
 
-say "OK (strict refusal and degraded quarantine + quorum, read and mmap; chaos visible to loadgen, SIGHUP recovery)"
+say "OK (strict refusal and degraded quarantine + quorum, read and mmap; degraded LOD by chaos; chaos visible to loadgen, SIGHUP recovery)"
