@@ -183,23 +183,39 @@ func BenchmarkBuildLOD(b *testing.B) {
 
 // BenchmarkColdFault measures the -mem-budget serving path's cache miss:
 // each iteration lazily loads the hierarchical container (members stay byte
-// ranges) and runs one cross-tile query, which faults both endpoint members
-// in from the image. The per-iteration time is the cold start-to-first-
-// answer of a tile nothing had touched yet, reported as cold_fault_ns.
+// ranges) and answers one pair, which faults members in from the image.
+// "cross-tile" is the near-seam pair, answered through portals: it faults
+// both endpoint tiles. "coarse" is the widest coarse-routed pair of the site
+// regime: it faults the endpoint tiles (for their points) and the coarse A2A
+// member. The per-iteration time is the cold start-to-first-answer,
+// reported as cold_fault_ns.
 func BenchmarkColdFault(b *testing.B) {
 	lb := lodBenchWorld(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx, _, err := core.LoadBytesOpts(lb.encoded, nil, core.LoadOptions{MemBudget: 1 << 30})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := idx.Query(lb.crossS, lb.crossT); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name   string
+		s, t   int32
+		coarse bool
+	}{{"cross-tile", lb.crossS, lb.crossT, false}, {"coarse", lb.farS, lb.farT, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var idx core.DistanceIndex
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if idx, _, err = core.LoadBytesOpts(lb.encoded, nil, core.LoadOptions{MemBudget: 1 << 30}); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := idx.Query(bc.s, bc.t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if ts, _ := idx.(*core.ShardedIndex).TileStats(); (ts.CoarseQueries == 1) != bc.coarse {
+				b.Fatalf("pair (%d,%d): %d coarse queries, want coarse route %v", bc.s, bc.t, ts.CoarseQueries, bc.coarse)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "cold_fault_ns")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "cold_fault_ns")
 }
 
 // BenchmarkPortalQuery measures the hot portal-stitching path: a resident

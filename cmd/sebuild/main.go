@@ -32,7 +32,7 @@
 // flat container: seserve then queries it straight from the memory-mapped
 // file with O(1) cold start (see seconvert to upgrade already-written
 // containers). A -shards container needs no flag: its SE tiles are always
-// written flat.
+// written flat, and so is the inner oracle of every a2a container.
 package main
 
 import (
@@ -106,6 +106,9 @@ func main() {
 	case "", "flat":
 	default:
 		fatal("unknown -layout %q (want \"\" or \"flat\")", *layout)
+	}
+	if *layout == "flat" && *kind != "se" {
+		fatal("-layout=flat applies to -kind=se (an a2a container holds its inner oracle flat already; dynamic has no flat layout)")
 	}
 	nw := *workers
 	if nw <= 0 {

@@ -25,9 +25,17 @@ import (
 // site-to-site distances through the inner SE oracle); the PointIndex
 // surface (QueryPoints, Project) serves arbitrary surface points.
 type SiteOracle struct {
-	oracle    *Oracle
+	// oracle is the inner SE oracle of a built site oracle (or of one loaded
+	// from a legacy se-body container): the logical content BuildStats and
+	// CheckInvariants read. It is nil on a site oracle loaded from a flat
+	// body, which keeps no tree or pair set beside the image.
+	oracle *Oracle
+	// q answers every site-to-site query: the inner oracle's engine
+	// (oracle.flat) when oracle is set, else the flat body read in place
+	// from the container image. Its point table (q.pts) is the site table,
+	// the one copy of the sites.
+	q         *FlatOracle
 	mesh      *terrain.Mesh
-	sites     []terrain.SurfacePoint
 	faceSites [][]int32 // per face: site ids on its corners and edges
 	locator   *terrain.Locator
 	eng       geodesic.Engine
@@ -45,7 +53,7 @@ type SiteOracle struct {
 	sitesPerEdge int
 	// localQueries counts queries that used the local regime. It is the
 	// only mutable field a query touches, and it is atomic, so a built
-	// SiteOracle is safe for concurrent use (the inner Oracle, the site
+	// SiteOracle is safe for concurrent use (the inner engine, the site
 	// tables and the locator are immutable, and the engine is
 	// concurrency-safe).
 	localQueries atomic.Int64
@@ -90,8 +98,9 @@ func buildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions, b *b
 	}
 
 	// Vertex sites first, then edge sites, recording per-face site lists.
+	var sites []terrain.SurfacePoint
 	for v := 0; v < m.NumVerts(); v++ {
-		so.sites = append(so.sites, m.VertexPoint(int32(v)))
+		sites = append(sites, m.VertexPoint(int32(v)))
 	}
 	so.faceSites = make([][]int32, m.NumFaces())
 	for f := int32(0); f < int32(m.NumFaces()); f++ {
@@ -111,10 +120,10 @@ func buildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions, b *b
 			for k := 1; k <= per; k++ {
 				t := float64(k) / float64(per+1)
 				p := m.Verts[che.Org].Lerp(m.Verts[che.Dst], t)
-				id := int32(len(so.sites))
+				id := int32(len(sites))
 				// The site lies on the shared edge; attach it to the
 				// canonical half-edge's face.
-				so.sites = append(so.sites, terrain.SurfacePoint{Face: che.Face, Vert: -1, P: p})
+				sites = append(sites, terrain.SurfacePoint{Face: che.Face, Vert: -1, P: p})
 				ids = append(ids, id)
 			}
 			seen[canon] = ids
@@ -122,14 +131,11 @@ func buildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions, b *b
 		so.faceSites[he.Face] = append(so.faceSites[he.Face], ids...)
 	}
 
-	o, err := build(eng, so.sites, opt.Options, b)
+	o, err := build(eng, sites, opt.Options, b)
 	if err != nil {
 		return nil, fmt.Errorf("core: building site oracle: %w", err)
 	}
-	so.oracle = o
-	// The inner oracle's point table is the site list; alias it so only one
-	// copy stays resident (decode restores the same aliasing).
-	so.sites = o.Points()
+	so.oracle, so.q = o, o.flat
 	return so, nil
 }
 
@@ -149,13 +155,13 @@ func (so *SiteOracle) QueryPoints(s, t terrain.SurfacePoint) (float64, error) {
 	}
 	best := math.Inf(1)
 	for _, p := range ns {
-		ds := s.P.Dist(so.sites[p].P)
+		ds := s.P.Dist(so.q.pts[p].P)
 		for _, q := range nt {
-			dq, err := so.oracle.Query(p, q)
+			dq, err := so.q.Query(p, q)
 			if err != nil {
 				return 0, err
 			}
-			if d := ds + dq + t.P.Dist(so.sites[q].P); d < best {
+			if d := ds + dq + t.P.Dist(so.q.pts[q].P); d < best {
 				best = d
 			}
 		}
@@ -177,12 +183,12 @@ func (so *SiteOracle) QueryPoints(s, t terrain.SurfacePoint) (float64, error) {
 // Query returns the ε-approximate geodesic distance between two indexed
 // sites. Part of the DistanceIndex interface; arbitrary surface points go
 // through QueryPoints.
-func (so *SiteOracle) Query(s, t int32) (float64, error) { return so.oracle.Query(s, t) }
+func (so *SiteOracle) Query(s, t int32) (float64, error) { return so.q.Query(s, t) }
 
 // QueryBatch answers site-id pairs in bulk. Part of the DistanceIndex
 // interface; with a preallocated dst it performs no allocations.
 func (so *SiteOracle) QueryBatch(pairs [][2]int32, dst []float64) ([]float64, error) {
-	return so.oracle.QueryBatch(pairs, dst)
+	return so.q.QueryBatch(pairs, dst)
 }
 
 // LocalQueries reports how many queries fell into the short-range exact
@@ -212,7 +218,7 @@ func (so *SiteOracle) Project(x, y float64) (terrain.SurfacePoint, bool) {
 // Nearest returns the indexed site whose x-y projection is closest to
 // (x, y).
 func (so *SiteOracle) Nearest(x, y float64) (int32, terrain.SurfacePoint, float64, error) {
-	return nearestScan(so.sites, nil, x, y)
+	return nearestScan(so.q.pts, nil, x, y)
 }
 
 // neighborhood returns the site ids used to anchor a query point: the sites
@@ -220,7 +226,7 @@ func (so *SiteOracle) Nearest(x, y float64) (int32, terrain.SurfacePoint, float6
 func (so *SiteOracle) neighborhood(p terrain.SurfacePoint) []int32 {
 	if p.Vert >= 0 {
 		// The vertex itself is a site.
-		if int(p.Vert) >= len(so.sites) {
+		if int(p.Vert) >= len(so.q.pts) {
 			return nil
 		}
 		return []int32{p.Vert}
@@ -232,7 +238,7 @@ func (so *SiteOracle) neighborhood(p terrain.SurfacePoint) []int32 {
 }
 
 // NumSites returns the number of sites the oracle indexes.
-func (so *SiteOracle) NumSites() int { return len(so.sites) }
+func (so *SiteOracle) NumSites() int { return len(so.q.pts) }
 
 // NeighborhoodSize returns the typical |X_s| of a face-interior query point.
 func (so *SiteOracle) NeighborhoodSize() int {
@@ -242,40 +248,89 @@ func (so *SiteOracle) NeighborhoodSize() int {
 	return len(so.faceSites[0])
 }
 
-// Inner exposes the underlying SE oracle (for stats and size accounting).
+// Inner exposes the underlying SE oracle (for build stats and size
+// accounting). It is nil on a site oracle loaded from a flat-body container:
+// that one answers from the image and keeps no tree or pair set.
 func (so *SiteOracle) Inner() *Oracle { return so.oracle }
 
-// MemoryBytes reports the oracle size: the inner SE oracle plus the
-// per-face site lists. The site table itself is the inner oracle's point
-// table (one copy, counted there).
+// MemoryBytes reports the oracle size. A built (or legacy-loaded) site
+// oracle reports the inner SE oracle plus the per-face site lists; the site
+// table itself is the inner oracle's point table (one copy, counted there).
+// One loaded from a flat body reports the heap it holds beside the image:
+// the engine struct with its inflated site table, the face-site lists, and
+// the decoded mesh with its locator and exact engine (siteGeometryBytes).
+// Its body is the image, counted by MappedBytes. Per-query scratch the
+// geodesic engine pools is not counted.
 func (so *SiteOracle) MemoryBytes() int64 {
-	b := so.oracle.MemoryBytes()
+	var b int64
+	if so.oracle != nil {
+		b = so.oracle.MemoryBytes()
+	} else {
+		b = so.q.MemoryBytes() + siteGeometryBytes(so.mesh)
+	}
 	for _, fs := range so.faceSites {
 		b += 24 + int64(len(fs))*4
 	}
 	return b
 }
 
+// siteGeometryBytes estimates the heap of a decoded mesh with its locator
+// and exact engine: per vertex its position, face list and flags (~60 bytes),
+// per face its corners, three half-edges, locator cell entries and the
+// engine's three apex positions (~210 bytes).
+func siteGeometryBytes(m *terrain.Mesh) int64 {
+	return 60*int64(m.NumVerts()) + 210*int64(m.NumFaces())
+}
+
+// MappedBytes reports how many bytes the oracle serves in place from the
+// retained container image: the flat body of a loaded one, 0 for a built
+// one. Part of the MappedIndex interface.
+func (so *SiteOracle) MappedBytes() int64 { return so.q.MappedBytes() }
+
 // Stats reports the shared DistanceIndex observability surface, including
 // the site-regime counters: site count, spacing, and how many queries fell
 // into the short-range exact regime.
 func (so *SiteOracle) Stats() IndexStats {
-	st := so.oracle.Stats()
-	st.Kind = KindA2A
-	st.MemoryBytes = so.MemoryBytes()
-	st.Sites = len(so.sites)
-	st.SitesPerEdge = so.sitesPerEdge
-	st.SiteSpacing = so.spacing
-	st.LocalThreshold = so.localThreshold
-	st.LocalQueries = so.localQueries.Load()
+	st := IndexStats{
+		Kind:           KindA2A,
+		Epsilon:        so.q.eps,
+		Points:         so.q.npoi,
+		Height:         so.q.height,
+		Pairs:          so.q.nPairs,
+		MemoryBytes:    so.MemoryBytes(),
+		MappedBytes:    so.MappedBytes(),
+		Sites:          len(so.q.pts),
+		SitesPerEdge:   so.sitesPerEdge,
+		SiteSpacing:    so.spacing,
+		LocalThreshold: so.localThreshold,
+		LocalQueries:   so.localQueries.Load(),
+	}
+	if so.oracle != nil {
+		st.Build = so.oracle.stats
+	}
 	return st
 }
 
 // EncodeTo writes the site oracle as a tagged container (kind "a2a"): the
-// inner oracle body, the terrain mesh, the site table, the per-face site
-// lists, and the regime thresholds. The locator and geodesic engine are
-// derived state, rebuilt on load — so loading never re-runs an SSAD.
+// inner oracle as a flat body (secFlat; its point slab is the site table),
+// the terrain mesh, the per-face site lists, and the regime thresholds. The
+// locator and geodesic engine are derived state, rebuilt on load — so
+// loading never re-runs an SSAD, and the inner oracle is read in place. A
+// loaded flat body is written back verbatim.
 func (so *SiteOracle) EncodeTo(w io.Writer) error {
+	body := so.q.body
+	if body == nil {
+		var err error
+		if body, err = flatBody(so.q, nil); err != nil {
+			return err
+		}
+	}
+	return writeContainer(w, KindA2A, append([]section{bytesSection(secFlat, body)}, so.siteSections()...))
+}
+
+// siteSections returns the a2a sections beside the inner oracle: the mesh,
+// the per-face site lists and the site meta (threshold, spacing, density).
+func (so *SiteOracle) siteSections() []section {
 	faceLen := uint64(8)
 	for _, fs := range so.faceSites {
 		faceLen += 8 + uint64(len(fs))*4
@@ -291,48 +346,47 @@ func (so *SiteOracle) EncodeTo(w io.Writer) error {
 		}
 		return nil
 	}}
-	var meta bytes.Buffer
-	if err := binary.Write(&meta, binary.LittleEndian, []float64{so.localThreshold, so.spacing}); err != nil {
-		return err
-	}
-	if err := binary.Write(&meta, binary.LittleEndian, int64(so.sitesPerEdge)); err != nil {
-		return err
-	}
-	return writeContainer(w, KindA2A, []section{
-		so.oracle.bodySection(),
-		meshSection(secMesh, so.mesh),
-		pointsSection(secSites, so.sites),
-		faceSec,
-		bytesSection(secSiteMeta, meta.Bytes()),
-	})
+	meta := binary.LittleEndian.AppendUint64(nil, math.Float64bits(so.localThreshold))
+	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(so.spacing))
+	meta = binary.LittleEndian.AppendUint64(meta, uint64(so.sitesPerEdge))
+	return []section{meshSection(secMesh, so.mesh), faceSec, bytesSection(secSiteMeta, meta)}
 }
 
-// decodeA2AContainer rebuilds a *SiteOracle from an a2a-kind section map:
+// decodeA2AContainer rebuilds a *SiteOracle from an a2a-kind section map.
+// The inner oracle comes from whichever layout the container holds: a flat
+// body (secFlat) is sliced in place with keep threaded through, as for a
+// flat container, and its point slab is the site table; a legacy se body
+// (secOracle) decodes in full beside its site table (secSites). Either way
 // the mesh is revalidated, the locator and exact geodesic engine are
 // rebuilt, and every site/face reference is bounds-checked before the query
 // path may trust it.
-func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
-	if err := requireSections(secs, secOracle, secMesh, secSites, secFaceSites, secSiteMeta); err != nil {
+func decodeA2AContainer(secs map[uint32][]byte, keep any) (DistanceIndex, error) {
+	if err := requireSections(secs, secMesh, secFaceSites, secSiteMeta); err != nil {
 		return nil, err
 	}
-	obr := bytes.NewReader(secs[secOracle])
-	inner, err := decodeBody(obr)
-	if err != nil {
-		return nil, err
-	}
-	if err := expectDrained(obr, "oracle section"); err != nil {
-		return nil, err
+	so := &SiteOracle{}
+	if body, ok := secs[secFlat]; ok {
+		f, err := decodeFlatBody(body, keep)
+		if err != nil {
+			return nil, fmt.Errorf("flat oracle section: %w", err)
+		}
+		if f.meshC != nil {
+			return nil, fmt.Errorf("flat oracle section embeds a mesh slab; the a2a container carries its own")
+		}
+		if _, err := f.points(); err != nil {
+			return nil, err
+		}
+		so.q = f
+	} else {
+		inner, err := decodeLegacyA2AOracle(secs)
+		if err != nil {
+			return nil, err
+		}
+		so.oracle, so.q = inner, inner.flat
 	}
 	mesh, err := decodeMesh(secs[secMesh])
 	if err != nil {
 		return nil, fmt.Errorf("mesh section: %w", err)
-	}
-	sites, err := decodePoints(secs[secSites])
-	if err != nil {
-		return nil, fmt.Errorf("site section: %w", err)
-	}
-	if len(sites) != inner.NumPOIs() {
-		return nil, fmt.Errorf("site table holds %d sites for an oracle over %d", len(sites), inner.NumPOIs())
 	}
 	fr := bytes.NewReader(secs[secFaceSites])
 	var nfaces int64
@@ -349,8 +403,8 @@ func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 			return nil, fmt.Errorf("face-site list %d: %w", f, err)
 		}
 		for _, id := range fs {
-			if id < 0 || int(id) >= len(sites) {
-				return nil, fmt.Errorf("face %d references site %d (of %d)", f, id, len(sites))
+			if id < 0 || int(id) >= len(so.q.pts) {
+				return nil, fmt.Errorf("face %d references site %d (of %d)", f, id, len(so.q.pts))
 			}
 		}
 		faceSites = append(faceSites, fs)
@@ -373,29 +427,44 @@ func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	if err := expectDrained(mr, "site-meta section"); err != nil {
 		return nil, err
 	}
-	for i, s := range sites {
+	for i, s := range so.q.pts {
 		if err := checkMeshPoint(s, mesh); err != nil {
 			return nil, fmt.Errorf("site %d: %w", i, err)
 		}
 	}
-	// The sites are the inner oracle's POIs; share the table so Nearest and
-	// memory accounting behave identically to a freshly built oracle.
-	inner.flat.pts = sites
 	eng := geodesic.NewExact(mesh)
-	// The inner oracle shares the site oracle's mesh and engine so
-	// QueryPath works after a load exactly as on a freshly built oracle
-	// (the a2a container carries one mesh; the inner body stays mesh-free).
-	inner.flat.mesh, inner.flat.peng = mesh, eng
-	so := &SiteOracle{
-		oracle:         inner,
-		mesh:           mesh,
-		sites:          sites,
-		faceSites:      faceSites,
-		locator:        terrain.NewLocator(mesh),
-		eng:            eng,
-		localThreshold: thresholds[0],
-		spacing:        thresholds[1],
-		sitesPerEdge:   int(per),
-	}
+	// The inner engine shares the site oracle's mesh and geodesic engine so
+	// QueryPath works after a load exactly as on a freshly built oracle (the
+	// a2a container carries one mesh; the inner body stays mesh-free).
+	so.q.mesh, so.q.peng = mesh, eng
+	so.mesh, so.faceSites, so.locator, so.eng = mesh, faceSites, terrain.NewLocator(mesh), eng
+	so.localThreshold, so.spacing, so.sitesPerEdge = thresholds[0], thresholds[1], int(per)
 	return so, nil
+}
+
+// decodeLegacyA2AOracle decodes the inner oracle of an a2a container written
+// before the flat layout: the se body in full (its engine laid out again)
+// and the site table beside it, which becomes the oracle's point table so
+// Nearest and memory accounting behave as on a freshly built oracle.
+func decodeLegacyA2AOracle(secs map[uint32][]byte) (*Oracle, error) {
+	if err := requireSections(secs, secOracle, secSites); err != nil {
+		return nil, err
+	}
+	obr := bytes.NewReader(secs[secOracle])
+	inner, err := decodeBody(obr)
+	if err != nil {
+		return nil, err
+	}
+	if err := expectDrained(obr, "oracle section"); err != nil {
+		return nil, err
+	}
+	sites, err := decodePoints(secs[secSites])
+	if err != nil {
+		return nil, fmt.Errorf("site section: %w", err)
+	}
+	if len(sites) != inner.NumPOIs() {
+		return nil, fmt.Errorf("site table holds %d sites for an oracle over %d", len(sites), inner.NumPOIs())
+	}
+	inner.flat.pts = sites
+	return inner, nil
 }

@@ -289,7 +289,7 @@ func decodeSections(kind Kind, secs map[uint32][]byte, keep any) (DistanceIndex,
 	case KindSE:
 		idx, err = decodeSEContainer(secs)
 	case KindA2A:
-		idx, err = decodeA2AContainer(secs)
+		idx, err = decodeA2AContainer(secs, keep)
 	case KindDynamic:
 		idx, err = decodeDynamicContainer(secs)
 	case KindFlat:

@@ -78,9 +78,10 @@ func TestLODCoveringFallback(t *testing.T) {
 // TestLODFixtureBytesUnchanged pins the encoded bytes of hierarchical
 // fixtures that built before the covering fallback existed: the fallback
 // only fires where the build used to fail, so these must not move. want is
-// the digest of the se-tile container the legacy writer emits (the bytes
-// these fixtures had before multi containers wrote their tiles flat); flat
-// is the digest of today's flat-tile encoding. The digests were taken on
+// the digest of the container the legacy writer emits (se tiles and an
+// se-body coarse member: the bytes these fixtures had before multi
+// containers wrote their members flat); flat is the digest of today's
+// encoding, flat tiles and a flat-body coarse member. The digests were taken on
 // amd64; other architectures may fuse floating-point multiply-adds and
 // legitimately produce different distances.
 func TestLODFixtureBytesUnchanged(t *testing.T) {
@@ -95,9 +96,9 @@ func TestLODFixtureBytesUnchanged(t *testing.T) {
 		flat             string
 	}{
 		{"9x9-40poi-seed1697-4shards", 9, 40, 4, 1697, "abd8c97e53f863aa300db54764fef56fa276969cdab2fa7e1a2bfeefb60791df",
-			"017d4269d418adfebe84c0e99d20bf5ff196cfa54d254b5ccf128fa960d64fd7"},
+			"13d34ef913f9dfcc71cc2d899a7d7bc6669d0ed063bd5d5507ba6ce97d381f5c"},
 		{"11x11-80poi-seed1705-9shards", 11, 80, 9, 1705, "512480efa81ed03e3546ce2da2cd3b388a904aa4dff919ce71824305e12376a1",
-			"31e5ad7c354f732198e407755453e13ec9ad3b9b4f8871ddf0a1475426895a5f"},
+			"47e1609de904c3bfae0f9ce138dcefae90987284f0152a9c67d06e105832c8bc"},
 	}
 	digest := func(data []byte) string {
 		sum := sha256.Sum256(data)

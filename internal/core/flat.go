@@ -171,7 +171,7 @@ func (o *Oracle) EncodeFlatTo(w io.Writer) error { return o.encodeFlatContainer(
 // choice: EncodeFlatTo embeds the oracle's own mesh, while a multi container
 // passes nil for members whose mesh it hoists into one shared section.
 func (o *Oracle) encodeFlatContainer(w io.Writer, mesh *terrain.Mesh) error {
-	body, err := flatBody(o, mesh)
+	body, err := flatBody(o.flat, mesh)
 	if err != nil {
 		return err
 	}
@@ -256,12 +256,11 @@ func newFlatEngine(eps float64, ct *ctree, keys []uint64, dist []float64, npoi i
 	return f, nil
 }
 
-// flatBody assembles the flat body image of an SE oracle: its engine's hot
-// slabs verbatim plus the deflated cold slabs. mesh is the terrain to embed
-// as the cold mesh slab — nil when a multi container hoists it into a
-// shared section.
-func flatBody(o *Oracle, mesh *terrain.Mesh) ([]byte, error) {
-	f := o.flat
+// flatBody assembles the flat body image of an SE engine: its hot slabs
+// verbatim plus the deflated cold slabs. mesh is the terrain to embed as the
+// cold mesh slab — nil when the container carries it elsewhere (a multi's
+// shared section, an a2a container's own mesh section).
+func flatBody(f *FlatOracle, mesh *terrain.Mesh) ([]byte, error) {
 	if f.pts == nil {
 		return nil, fmt.Errorf("core: oracle carries no point table; the flat layout requires one")
 	}
@@ -336,18 +335,31 @@ func flatBody(o *Oracle, mesh *terrain.Mesh) ([]byte, error) {
 }
 
 // ConvertFlat re-lays an index into the flat container layout: an SE oracle
-// becomes a FlatOracle. A multi container is returned as is: its EncodeTo
-// already writes every SE member flat, so a multi of se tiles (say, loaded
-// from a legacy container) re-encodes to the flat-tile bytes. Other kinds,
-// and oracles without a point table, have no flat form and return an error.
+// becomes a FlatOracle, and an A2A site oracle becomes one whose inner
+// oracle is a flat body read in place (what EncodeTo writes, so a site
+// oracle loaded from a legacy se-body container upgrades). A multi
+// container is returned as is: its EncodeTo already writes every SE member
+// flat and every coarse member as a flat-body a2a, so a legacy multi
+// re-encodes to the flat bytes. The dynamic kind, and oracles without a
+// point table, have no flat form and return an error.
 func ConvertFlat(idx DistanceIndex) (DistanceIndex, error) {
 	switch v := idx.(type) {
 	case *FlatOracle, *ShardedIndex:
 		return v, nil
 	case *Oracle:
 		return flatFromOracle(v)
+	case *SiteOracle:
+		if v.oracle == nil {
+			return v, nil
+		}
+		var buf bytes.Buffer
+		if err := v.EncodeTo(&buf); err != nil {
+			return nil, err
+		}
+		idx, _, err := LoadBytesOpts(buf.Bytes(), nil, LoadOptions{})
+		return idx, err
 	default:
-		return nil, fmt.Errorf("core: kind %s has no flat layout (flat supports se and multi)", idx.Stats().Kind)
+		return nil, fmt.Errorf("core: kind %s has no flat layout (flat supports se, a2a and multi)", idx.Stats().Kind)
 	}
 }
 
@@ -356,7 +368,7 @@ func ConvertFlat(idx DistanceIndex) (DistanceIndex, error) {
 // share with the loader, so a converted index is bit-for-bit what a flat
 // load would produce.
 func flatFromOracle(o *Oracle) (*FlatOracle, error) {
-	body, err := flatBody(o, o.Mesh())
+	body, err := flatBody(o.flat, o.Mesh())
 	if err != nil {
 		return nil, err
 	}

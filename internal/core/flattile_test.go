@@ -226,9 +226,11 @@ func TestLazyFlatMemberStatsFromHeader(t *testing.T) {
 
 // A budgeted load charges a flat tile the heap it grows to, not just its
 // struct: once a nearest query has inflated a tile's point slab, its charge
-// still covers its heap, and so does the resident set's total.
+// still covers its heap, and so does the resident set's total. The same
+// holds for the flat-body coarse member after point, path and nearest
+// queries have run through it.
 func TestFlatTileChargeCoversInflatedPoints(t *testing.T) {
-	_, _, flat, _ := flatTileWorld(t)
+	w, _, flat, _ := flatTileWorld(t)
 	idx, _, err := LoadBytesOpts(flat, nil, LoadOptions{MemBudget: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
@@ -243,6 +245,15 @@ func TestFlatTileChargeCoversInflatedPoints(t *testing.T) {
 				t.Fatalf("%s: Nearest: %v", m.Name, err)
 			}
 			tiles++
+		} else if pi, ok := m.Index.(PointPathIndex); ok {
+			a, b := w.pois[0].P, w.pois[len(w.pois)-1].P
+			if _, _, err := pi.QueryPathXY(a.X, a.Y, b.X, b.Y); err != nil {
+				t.Fatalf("%s: QueryPathXY: %v", m.Name, err)
+			}
+			if _, err := m.Index.(NearestKFinder).NearestK(a.X, a.Y, 3); err != nil {
+				t.Fatalf("%s: NearestK: %v", m.Name, err)
+			}
+			checkFlatSite(t, m.Name, lm.cur.Load().idx, flat)
 		} else if _, err := lm.get(); err != nil {
 			t.Fatalf("%s: fault: %v", m.Name, err)
 		}

@@ -91,8 +91,15 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The a2a kind in both layouts: a flat inner body read in place, as
+	// EncodeTo writes it, and the se body beside a site table of the legacy
+	// writer, which still loads.
 	var a2aCont bytes.Buffer
 	if err := so.EncodeTo(&a2aCont); err != nil {
+		f.Fatal(err)
+	}
+	legacyA2A, err := encodeLegacyA2A(so)
+	if err != nil {
 		f.Fatal(err)
 	}
 	dyn, err := NewDynamicOracle(eng, m, pois, Options{Epsilon: 0.3, Seed: 605})
@@ -172,7 +179,7 @@ func FuzzDecode(f *testing.F) {
 		s := secs[secPortals]
 		binary.LittleEndian.PutUint32(s[8+8:], binary.LittleEndian.Uint32(s[8+8:])+1) // first link's IDA off by one
 	})
-	for _, seed := range [][]byte{bare.Bytes(), seCont.Bytes(), a2aCont.Bytes(), dynCont.Bytes(),
+	for _, seed := range [][]byte{bare.Bytes(), seCont.Bytes(), a2aCont.Bytes(), legacyA2A, dynCont.Bytes(),
 		multiCont.Bytes(), legacyMulti, flatCont.Bytes(), flatFlip,
 		lodCont.Bytes(), legacyLOD, selfParent, orphanChild, portalCountLie, portalIDFlip} {
 		f.Add(seed)

@@ -395,9 +395,10 @@ func (sh *ShardedIndex) MemberOf(global int32) (string, int32, bool) {
 }
 
 // resolveGlobal maps a global id to (member slice index, local id). A global
-// id owned by a quarantined member resolves to an error naming it — the id
-// space is a function of the manifest, not of load health, so ids stay
-// stable across degraded loads.
+// id owned by a quarantined member resolves to an ErrMemberFault naming it,
+// as a fault of that member would (the serving layer's 503) — the id space
+// is a function of the manifest, not of load health, so ids stay stable
+// across degraded loads.
 func (sh *ShardedIndex) resolveGlobal(id int32) (int, int32, error) {
 	h := sh.hier
 	if id < 0 || int64(id) >= h.total {
@@ -407,7 +408,7 @@ func (sh *ShardedIndex) resolveGlobal(id int32) (int, int32, error) {
 	ord := h.fineOrd[j]
 	k := sh.memAt[ord]
 	if k < 0 {
-		return 0, 0, fmt.Errorf("core: POI id %d belongs to quarantined member %q", id, sh.ordName[ord])
+		return 0, 0, fmt.Errorf("%w: POI id %d belongs to quarantined member %q", ErrMemberFault, id, sh.ordName[ord])
 	}
 	return k, id - int32(h.fineBase[j]), nil
 }

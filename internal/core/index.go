@@ -196,7 +196,7 @@ type NearestFinder interface {
 
 // MappedIndex is implemented by indexes that serve some of their state in
 // place from a retained container image instead of decoded heap structures
-// (the flat layout). Loaders use it — via MappedBytesOf — to decide whether
+// (the flat layout, and the inner oracle of a flat-body a2a). Loaders use it — via MappedBytesOf — to decide whether
 // the backing memory must outlive the index.
 type MappedIndex interface {
 	// MappedBytes reports how many bytes of retained container image the
@@ -238,6 +238,7 @@ var (
 	_ NearestKFinder = (*FlatOracle)(nil)
 	_ Reachability   = (*FlatOracle)(nil)
 	_ MappedIndex    = (*FlatOracle)(nil)
+	_ MappedIndex    = (*SiteOracle)(nil)
 	_ MappedIndex    = (*ShardedIndex)(nil)
 	_ PointIndex     = (*ShardedIndex)(nil)
 	_ PointPathIndex = (*ShardedIndex)(nil)

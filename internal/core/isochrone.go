@@ -61,7 +61,7 @@ func reachableScan(idx DistanceIndex, ids []int32, at func(int32) terrain.Surfac
 // Reachable returns every site within surface distance d of site src,
 // through the inner SE oracle. Part of the Reachability interface.
 func (so *SiteOracle) Reachable(src int32, d float64) ([]Reached, error) {
-	return so.oracle.Reachable(src, d)
+	return so.q.Reachable(src, d)
 }
 
 // Reachable returns every live POI within surface distance d of live POI

@@ -20,9 +20,10 @@ import (
 // the member's bytes plus a slab validation; a resident tile is charged its
 // struct plus its point slab as it will be once inflated (coordinate, path
 // and nearest queries inflate it; distance queries never do), a fraction of
-// a decoded se tile. What the resident set still decodes in full is the
-// coarse A2A members and the se-layout tiles of containers written before
-// tiles were flat.
+// a decoded se tile. A coarse A2A member faults the same way, slicing its
+// flat inner body, and decodes only its mesh, face-site lists and site
+// table. What the resident set still decodes in full is the se tiles and
+// se-body coarse members of containers written before members were flat.
 // An unfaulted flat member reports its shape (ε, POIs, pairs, height) from
 // its flat header, read at load with the header CRC checked.
 //
@@ -226,7 +227,8 @@ func (lm *lazyMember) fault() (DistanceIndex, error) {
 // budgetCharge is the heap a freshly decoded member is charged against the
 // budget. A flat member is charged its fully inflated size up front, since
 // its point and mesh slabs inflate on later queries, outside any fault;
-// every other kind is fully decoded already.
+// every other kind holds its heap already (a flat-body a2a member inflates
+// its site table at decode).
 func budgetCharge(idx DistanceIndex) int64 {
 	if f, ok := idx.(*FlatOracle); ok {
 		return f.inflatedBytes()

@@ -8,10 +8,14 @@ import (
 )
 
 // legacyMember is the member encoder multi containers used before their SE
-// tiles were written flat: an SE oracle goes out as an se container (without
-// its mesh when the container shares it). Every other member encodes as
-// encodeMember does.
+// tiles and coarse members were written flat: an SE oracle goes out as an se
+// container (without its mesh when the container shares it), a site oracle
+// as an se-body a2a container (encodeLegacyA2A). Every other member encodes
+// as encodeMember does.
 func legacyMember(idx DistanceIndex, shared *terrain.Mesh) (Kind, func() ([]byte, error)) {
+	if so, ok := idx.(*SiteOracle); ok {
+		return KindA2A, func() ([]byte, error) { return encodeLegacyA2A(so) }
+	}
 	o, ok := idx.(*Oracle)
 	if !ok {
 		return encodeMember(idx, shared)
@@ -36,4 +40,16 @@ func encodeLegacy(t testing.TB, sh *ShardedIndex) []byte {
 		t.Fatalf("legacy encode: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// encodeLegacyA2A writes a built site oracle as the a2a container did before
+// its inner oracle was written flat: the se body (secOracle), the mesh, the
+// site table (secSites), the per-face site lists and the site meta.
+func encodeLegacyA2A(so *SiteOracle) ([]byte, error) {
+	site := so.siteSections() // mesh, face sites, site meta
+	var buf bytes.Buffer
+	err := writeContainer(&buf, KindA2A, []section{
+		so.oracle.bodySection(), site[0], pointsSection(secSites, so.q.pts), site[1], site[2],
+	})
+	return buf.Bytes(), err
 }

@@ -51,7 +51,7 @@ func loadVerdict(idx DistanceIndex, q []Quarantined, err error) string {
 	if sh, ok := idx.(*ShardedIndex); ok {
 		var faults []string
 		for _, m := range sh.Members() {
-			if lm, ok := m.Index.(*lazyMember); ok {
+			if lm := lazyOf(m.Index); lm != nil {
 				if _, err := lm.get(); err != nil {
 					faults = append(faults, m.Name)
 				}
@@ -122,14 +122,20 @@ func TestLoadModesAgree(t *testing.T) {
 	if err := o.EncodeFlatTo(&flat); err != nil {
 		t.Fatal(err)
 	}
-	// A multi container writes its SE tiles flat; the "-se" rows load the
-	// se-tile containers of the legacy writer.
+	legacyA2A, err := encodeLegacyA2A(so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An a2a container writes its inner oracle flat and a multi container
+	// its SE tiles; the "-se" rows load the se-body containers of the legacy
+	// writer.
 	containers := []struct {
 		name string
 		data []byte
 	}{
 		{"se", encodeIndex(t, o)},
 		{"a2a", encodeIndex(t, so)},
+		{"a2a-se", legacyA2A},
 		{"dynamic", encodeIndex(t, dyn)},
 		{"flat", flat.Bytes()},
 		{"multi-se", encodeLegacy(t, sh)},
@@ -159,65 +165,93 @@ func TestLoadModesAgree(t *testing.T) {
 			}
 			return flipSection(t, data, secMemberBase, secFlat, flatHeaderOff+8)
 		}},
+		// The last member of a LOD container is its coarse member.
+		{"last-member-flat-header", func(data []byte) ([]byte, bool) {
+			_, secs, err := sliceContainer(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := secMemberBase
+			for secs[last+1] != nil {
+				last++
+			}
+			return flipSection(t, data, last, secFlat, flatHeaderOff+8)
+		}},
 	}
 	// want[container/site] lists the verdicts in loadModes order.
 	want := map[string][5]string{
-		"se/none":                  {"ok", "ok", "ok", "ok", "ok"},
-		"se/footer":                {"err", "err", "err", "err", "err"},
-		"se/manifest":              {"-", "-", "-", "-", "-"},
-		"se/member":                {"-", "-", "-", "-", "-"},
-		"se/member-footer":         {"-", "-", "-", "-", "-"},
-		"se/mesh":                  {"err", "err", "err", "err", "err"},
-		"se/flat-header":           {"-", "-", "-", "-", "-"},
-		"a2a/none":                 {"ok", "ok", "ok", "ok", "ok"},
-		"a2a/footer":               {"err", "err", "err", "err", "err"},
-		"a2a/manifest":             {"-", "-", "-", "-", "-"},
-		"a2a/member":               {"-", "-", "-", "-", "-"},
-		"a2a/member-footer":        {"-", "-", "-", "-", "-"},
-		"a2a/mesh":                 {"err", "err", "err", "err", "err"},
-		"a2a/flat-header":          {"-", "-", "-", "-", "-"},
-		"dynamic/none":             {"ok", "ok", "ok", "ok", "ok"},
-		"dynamic/footer":           {"err", "err", "err", "err", "err"},
-		"dynamic/manifest":         {"-", "-", "-", "-", "-"},
-		"dynamic/member":           {"-", "-", "-", "-", "-"},
-		"dynamic/member-footer":    {"-", "-", "-", "-", "-"},
-		"dynamic/mesh":             {"err", "err", "err", "err", "err"},
-		"dynamic/flat-header":      {"-", "-", "-", "-", "-"},
-		"flat/none":                {"ok", "ok", "ok", "ok", "ok"},
-		"flat/footer":              {"err", "err", "ok", "ok", "ok"},
-		"flat/manifest":            {"-", "-", "-", "-", "-"},
-		"flat/member":              {"-", "-", "-", "-", "-"},
-		"flat/member-footer":       {"-", "-", "-", "-", "-"},
-		"flat/mesh":                {"-", "-", "-", "-", "-"},
-		"flat/flat-header":         {"err", "err", "err", "err", "err"},
-		"multi-se/none":            {"ok", "ok", "ok", "ok", "ok"},
-		"multi-se/footer":          {"err", "err", "ok", "ok", "ok"},
-		"multi-se/manifest":        {"err", "err", "ok", "ok", "ok"},
-		"multi-se/member":          {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"multi-se/member-footer":   {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"multi-se/mesh":            {"err", "err", "ok", "ok", "ok"},
-		"multi-se/flat-header":     {"-", "-", "-", "-", "-"},
-		"multi-flat/none":          {"ok", "ok", "ok", "ok", "ok"},
-		"multi-flat/footer":        {"err", "err", "ok", "ok", "ok"},
-		"multi-flat/manifest":      {"err", "err", "ok", "ok", "ok"},
-		"multi-flat/member":        {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"multi-flat/member-footer": {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"multi-flat/mesh":          {"err", "err", "ok", "ok", "ok"},
-		"multi-flat/flat-header":   {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"lod-se/none":              {"ok", "ok", "ok", "ok", "ok"},
-		"lod-se/footer":            {"err", "err", "ok", "ok", "ok"},
-		"lod-se/manifest":          {"err", "err", "ok", "ok", "ok"},
-		"lod-se/member":            {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"lod-se/member-footer":     {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"lod-se/mesh":              {"err", "err", "ok", "ok", "ok"},
-		"lod-se/flat-header":       {"-", "-", "-", "-", "-"},
-		"lod/none":                 {"ok", "ok", "ok", "ok", "ok"},
-		"lod/footer":               {"err", "err", "ok", "ok", "ok"},
-		"lod/manifest":             {"err", "err", "ok", "ok", "ok"},
-		"lod/member":               {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"lod/member-footer":        {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
-		"lod/mesh":                 {"err", "err", "ok", "ok", "ok"},
-		"lod/flat-header":          {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"se/none":                            {"ok", "ok", "ok", "ok", "ok"},
+		"se/footer":                          {"err", "err", "err", "err", "err"},
+		"se/manifest":                        {"-", "-", "-", "-", "-"},
+		"se/member":                          {"-", "-", "-", "-", "-"},
+		"se/member-footer":                   {"-", "-", "-", "-", "-"},
+		"se/mesh":                            {"err", "err", "err", "err", "err"},
+		"se/flat-header":                     {"-", "-", "-", "-", "-"},
+		"se/last-member-flat-header":         {"-", "-", "-", "-", "-"},
+		"a2a/none":                           {"ok", "ok", "ok", "ok", "ok"},
+		"a2a/footer":                         {"err", "err", "err", "err", "err"},
+		"a2a/manifest":                       {"-", "-", "-", "-", "-"},
+		"a2a/member":                         {"-", "-", "-", "-", "-"},
+		"a2a/member-footer":                  {"-", "-", "-", "-", "-"},
+		"a2a/mesh":                           {"err", "err", "err", "err", "err"},
+		"a2a/flat-header":                    {"err", "err", "err", "err", "err"},
+		"a2a/last-member-flat-header":        {"-", "-", "-", "-", "-"},
+		"a2a-se/none":                        {"ok", "ok", "ok", "ok", "ok"},
+		"a2a-se/footer":                      {"err", "err", "err", "err", "err"},
+		"a2a-se/manifest":                    {"-", "-", "-", "-", "-"},
+		"a2a-se/member":                      {"-", "-", "-", "-", "-"},
+		"a2a-se/member-footer":               {"-", "-", "-", "-", "-"},
+		"a2a-se/mesh":                        {"err", "err", "err", "err", "err"},
+		"a2a-se/flat-header":                 {"-", "-", "-", "-", "-"},
+		"a2a-se/last-member-flat-header":     {"-", "-", "-", "-", "-"},
+		"dynamic/none":                       {"ok", "ok", "ok", "ok", "ok"},
+		"dynamic/footer":                     {"err", "err", "err", "err", "err"},
+		"dynamic/manifest":                   {"-", "-", "-", "-", "-"},
+		"dynamic/member":                     {"-", "-", "-", "-", "-"},
+		"dynamic/member-footer":              {"-", "-", "-", "-", "-"},
+		"dynamic/mesh":                       {"err", "err", "err", "err", "err"},
+		"dynamic/flat-header":                {"-", "-", "-", "-", "-"},
+		"dynamic/last-member-flat-header":    {"-", "-", "-", "-", "-"},
+		"flat/none":                          {"ok", "ok", "ok", "ok", "ok"},
+		"flat/footer":                        {"err", "err", "ok", "ok", "ok"},
+		"flat/manifest":                      {"-", "-", "-", "-", "-"},
+		"flat/member":                        {"-", "-", "-", "-", "-"},
+		"flat/member-footer":                 {"-", "-", "-", "-", "-"},
+		"flat/mesh":                          {"-", "-", "-", "-", "-"},
+		"flat/flat-header":                   {"err", "err", "err", "err", "err"},
+		"flat/last-member-flat-header":       {"-", "-", "-", "-", "-"},
+		"multi-se/none":                      {"ok", "ok", "ok", "ok", "ok"},
+		"multi-se/footer":                    {"err", "err", "ok", "ok", "ok"},
+		"multi-se/manifest":                  {"err", "err", "ok", "ok", "ok"},
+		"multi-se/member":                    {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"multi-se/member-footer":             {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"multi-se/mesh":                      {"err", "err", "ok", "ok", "ok"},
+		"multi-se/flat-header":               {"-", "-", "-", "-", "-"},
+		"multi-se/last-member-flat-header":   {"-", "-", "-", "-", "-"},
+		"multi-flat/none":                    {"ok", "ok", "ok", "ok", "ok"},
+		"multi-flat/footer":                  {"err", "err", "ok", "ok", "ok"},
+		"multi-flat/manifest":                {"err", "err", "ok", "ok", "ok"},
+		"multi-flat/member":                  {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"multi-flat/member-footer":           {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"multi-flat/mesh":                    {"err", "err", "ok", "ok", "ok"},
+		"multi-flat/flat-header":             {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"multi-flat/last-member-flat-header": {"err", "ok q=tile-1-1", "err", "ok q=tile-1-1", "ok fault=tile-1-1"},
+		"lod-se/none":                        {"ok", "ok", "ok", "ok", "ok"},
+		"lod-se/footer":                      {"err", "err", "ok", "ok", "ok"},
+		"lod-se/manifest":                    {"err", "err", "ok", "ok", "ok"},
+		"lod-se/member":                      {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"lod-se/member-footer":               {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"lod-se/mesh":                        {"err", "err", "ok", "ok", "ok"},
+		"lod-se/flat-header":                 {"-", "-", "-", "-", "-"},
+		"lod-se/last-member-flat-header":     {"-", "-", "-", "-", "-"},
+		"lod/none":                           {"ok", "ok", "ok", "ok", "ok"},
+		"lod/footer":                         {"err", "err", "ok", "ok", "ok"},
+		"lod/manifest":                       {"err", "err", "ok", "ok", "ok"},
+		"lod/member":                         {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"lod/member-footer":                  {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"lod/mesh":                           {"err", "err", "ok", "ok", "ok"},
+		"lod/flat-header":                    {"err", "ok q=tile-0-0", "err", "ok q=tile-0-0", "ok fault=tile-0-0"},
+		"lod/last-member-flat-header":        {"err", "ok q=coarse-1", "err", "ok q=coarse-1", "ok fault=coarse-1"},
 	}
 
 	var got strings.Builder

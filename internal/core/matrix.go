@@ -84,7 +84,7 @@ func matrixViaBatch(ctx context.Context, idx DistanceIndex, sources, targets []i
 // QueryMatrix fills dst with the row-major site-id distance matrix through
 // the inner SE oracle. Part of the MatrixIndex interface.
 func (so *SiteOracle) QueryMatrix(sources, targets []int32, dst []float64) ([]float64, error) {
-	return MatrixViaBatch(so.oracle, sources, targets, dst)
+	return MatrixViaBatch(so.q, sources, targets, dst)
 }
 
 // QueryMatrix fills dst with the row-major distance matrix over live public

@@ -6,9 +6,10 @@ import "testing"
 // MemoryBytes: a multi container's memory budget is sized from the built
 // members, and a budgeted load charges the faulted ones. Covers se, a2a and
 // every member of a 2-level LOD build, loaded eagerly and faulted under a
-// budget, from the legacy se-tile container. The flat-tile container loads
-// the same coarse member; its tiles charge only what a flat oracle read in
-// place charges.
+// budget, from the legacy container (se tiles, se-body coarse member). The
+// flat container loads members read in place: a flat tile charges only its
+// struct, a flat-body site oracle its engine struct, site table, face-site
+// lists and mesh (flatSiteBytes).
 func TestMemoryBytesBuiltMatchesLoaded(t *testing.T) {
 	w := newTestWorld(t, 13, 40, 5101)
 	se := w.build(t, Options{Epsilon: 0.25, Seed: 5102})
@@ -16,9 +17,21 @@ func TestMemoryBytesBuiltMatchesLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, built := range map[string]DistanceIndex{"se": se, "a2a": so} {
-		if got, want := loadIndex(t, encodeIndex(t, built)).MemoryBytes(), built.MemoryBytes(); got != want {
-			t.Errorf("%s: loaded MemoryBytes %d, built %d", name, got, want)
+	legacyA2A, err := encodeLegacyA2A(so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		img  []byte
+		want int64
+	}{
+		{"se", encodeIndex(t, se), se.MemoryBytes()},
+		{"a2a-se", legacyA2A, so.MemoryBytes()},
+		{"a2a", encodeIndex(t, so), flatSiteBytes(so)},
+	} {
+		if got := loadIndex(t, c.img).MemoryBytes(); got != c.want {
+			t.Errorf("%s: loaded MemoryBytes %d, want %d", c.name, got, c.want)
 		}
 	}
 
@@ -30,10 +43,13 @@ func TestMemoryBytesBuiltMatchesLoaded(t *testing.T) {
 		// want is what a loaded member must charge for built member b.
 		want func(b DistanceIndex) int64
 	}{
-		{"se-tile", encodeLegacy(t, lod), DistanceIndex.MemoryBytes},
-		{"flat-tile", encodeIndex(t, lod), func(b DistanceIndex) int64 {
-			if _, tile := b.(*Oracle); tile {
+		{"legacy", encodeLegacy(t, lod), DistanceIndex.MemoryBytes},
+		{"flat", encodeIndex(t, lod), func(b DistanceIndex) int64 {
+			switch v := b.(type) {
+			case *Oracle:
 				return flatStructBytes
+			case *SiteOracle:
+				return flatSiteBytes(v)
 			}
 			return b.MemoryBytes()
 		}},
@@ -64,4 +80,13 @@ func TestMemoryBytesBuiltMatchesLoaded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flatSiteBytes is what built site oracle so reports once loaded from its
+// flat-body container: its face-site lists (what it reports beyond its
+// inner oracle), the engine struct, the inflated site table and the decoded
+// mesh with its locator and engine.
+func flatSiteBytes(so *SiteOracle) int64 {
+	faceSites := so.MemoryBytes() - so.Inner().MemoryBytes()
+	return faceSites + flatStructBytes + int64(so.NumSites())*pointRecordSize + siteGeometryBytes(so.mesh)
 }

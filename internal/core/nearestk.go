@@ -113,7 +113,7 @@ func nearestKScan(pts []terrain.SurfacePoint, skip func(int32) bool, x, y float6
 // NearestK returns up to k sites ordered by planar distance to (x, y), ties
 // toward the lower id. Part of the NearestKFinder interface.
 func (so *SiteOracle) NearestK(x, y float64, k int) ([]Neighbor, error) {
-	return nearestKScan(so.sites, nil, x, y, k)
+	return nearestKScan(so.q.pts, nil, x, y, k)
 }
 
 // NearestK returns up to k live POIs (tombstones are skipped) ordered by

@@ -59,7 +59,7 @@ func segLength(pts []terrain.SurfacePoint) float64 {
 // inner SE oracle. Part of the PathIndex interface; arbitrary surface
 // points go through QueryPathPoints.
 func (so *SiteOracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) {
-	return so.oracle.QueryPath(s, t)
+	return so.q.QueryPath(s, t)
 }
 
 // QueryPathPoints mirrors QueryPoints, reporting the path behind the
@@ -80,13 +80,13 @@ func (so *SiteOracle) QueryPathPoints(s, t terrain.SurfacePoint) ([]terrain.Surf
 	best := math.Inf(1)
 	bp, bq := int32(-1), int32(-1)
 	for _, p := range ns {
-		ds := s.P.Dist(so.sites[p].P)
+		ds := s.P.Dist(so.q.pts[p].P)
 		for _, q := range nt {
-			dq, err := so.oracle.Query(p, q)
+			dq, err := so.q.Query(p, q)
 			if err != nil {
 				return nil, 0, err
 			}
-			if d := ds + dq + t.P.Dist(so.sites[q].P); d < best {
+			if d := ds + dq + t.P.Dist(so.q.pts[q].P); d < best {
 				best, bp, bq = d, p, q
 			}
 		}
@@ -102,7 +102,7 @@ func (so *SiteOracle) QueryPathPoints(s, t terrain.SurfacePoint) ([]terrain.Surf
 			}
 		}
 	}
-	inner, _, err := so.oracle.QueryPath(bp, bq)
+	inner, _, err := so.q.QueryPath(bp, bq)
 	if err != nil {
 		return nil, 0, err
 	}

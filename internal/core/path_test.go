@@ -169,8 +169,8 @@ func TestQueryPathSiteOracle(t *testing.T) {
 		if s == q {
 			continue
 		}
-		pathQueryParity(t, m, so, so.sites, eps, s, q)
-		pathQueryParity(t, m, loaded, loaded.sites, eps, s, q)
+		pathQueryParity(t, m, so, so.q.pts, eps, s, q)
+		pathQueryParity(t, m, loaded, loaded.q.pts, eps, s, q)
 	}
 	st := m.ComputeStats()
 	for i := 0; i < 25; i++ {

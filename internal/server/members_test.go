@@ -20,13 +20,16 @@ import (
 // lodFixture builds the 11×11, 30-POI, 4-tile, 2-level LOD container of
 // TestLODCoordinatePairsMatchCore and returns the index with its container
 // bytes.
-func lodFixture(t *testing.T) (*core.ShardedIndex, []byte) {
+func lodFixture(t *testing.T) (*core.ShardedIndex, []byte) { return lodFixtureN(t, 30) }
+
+// lodFixtureN is lodFixture with npoi POIs.
+func lodFixtureN(t *testing.T, npoi int) (*core.ShardedIndex, []byte) {
 	t.Helper()
 	m, err := gen.Fractal(gen.FractalSpec{NX: 11, NY: 11, CellDX: 10, Amp: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pois, err := gen.UniformPOIs(m, 30, 2)
+	pois, err := gen.UniformPOIs(m, npoi, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +142,37 @@ func TestFailMembersMatchesCorruptLoad(t *testing.T) {
 		}
 		if ok < len(reqs)/2 {
 			t.Errorf("%s: only %d of %d requests answered 200", mode.name, ok, len(reqs))
+		}
+	}
+}
+
+// A global id owned by a quarantined member answers 503, in an eager and a
+// budgeted load alike, as the same member named by index= or reached by a
+// coordinate does: the data exists, but this process cannot serve it.
+func TestQuarantinedGlobalIDAnswers503(t *testing.T) {
+	sh, data := lodFixtureN(t, 40)
+	const failed = "tile-1-1"
+	if name, _, ok := sh.MemberOf(39); !ok || name != failed {
+		t.Fatalf("global id 39 belongs to %q, want %s", name, failed)
+	}
+	for _, mode := range []struct {
+		name string
+		opt  core.LoadOptions
+	}{{"eager", core.LoadOptions{}}, {"budgeted", core.LoadOptions{MemBudget: 1}}} {
+		idx, _, err := core.LoadBytesOpts(data, nil, mode.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, injected, err := chaos.FailMembers(idx, []string{failed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewWithOptions(idx, Options{Quarantined: injected}).Handler()
+		if code, body := serve(h, http.MethodGet, "/v1/query?s=0&t=39", ""); code != http.StatusServiceUnavailable {
+			t.Errorf("%s: /v1/query?s=0&t=39 answers %d %s, want 503", mode.name, code, body)
+		}
+		if code, body := serve(h, http.MethodGet, "/v1/query?s=0&t=1", ""); code != http.StatusOK {
+			t.Errorf("%s: healthy pair answers %d %s, want 200", mode.name, code, body)
 		}
 	}
 }

@@ -15,7 +15,8 @@
 #      (-chaos-fail-member tile-1-1 -degraded) and assert the survivors
 #      still serve as a degraded LOD: an unnamed global-id pair across
 #      healthy tiles and a straddling coordinate pair answer 200, routed
-#      through portals or the coarse level
+#      through portals or the coarse level, and a global id the failed tile
+#      owns answers 503 like any other request that reaches it
 #   5. fire loadgen at a chaos-injected server (-chaos-latency,
 #      -chaos-error-rate) and assert on its JSON: injected 503s and added
 #      latency are visible, nothing else breaks
@@ -135,8 +136,8 @@ say "serving it with tile-1-1 failed by chaos"
 SERVER_PID=$!
 wait_status /healthz 200
 stat_count() { curl -fsS "http://127.0.0.1:$PORT/statsz" >"$TMP/lodstats.json" && field "$TMP/lodstats.json" "$1"; }
-[ "$(code "http://127.0.0.1:$PORT/v1/query?s=0&t=39")" = "400" ] \
-    || { say "global id 39 of the failed tile-1-1 did not answer 400"; exit 1; }
+[ "$(code "http://127.0.0.1:$PORT/v1/query?s=0&t=39")" = "503" ] \
+    || { say "global id 39 of the failed tile-1-1 did not answer 503"; exit 1; }
 # The highest global id that still answers sits in the last healthy tile,
 # so the pair (0, T) crosses tiles and must take a portal or the coarse level.
 T=""
