@@ -43,11 +43,13 @@ bench-smoke:
 # the measured perf trajectory every perf PR records itself into and diffs
 # against. CI uploads the file as an artifact on pushes to main. The server
 # benchmarks and the root benchmarks named in MULTI_BENCH (cold start and
-# fault, the Fig8 queries, the LOD build, and the three LOD query routes:
-# same tile, portal stitch, coarse level) take five samples each, so
-# `bench-check` has a spread to gate on; the rest of the root suite keeps
-# one (-skip keeps the two root passes disjoint).
-MULTI_BENCH = ^Benchmark(ColdStartFirstQuery|ColdFault|Fig8_QuerySE|Fig8_QueryFlat|BuildLOD|SameTileQuery|PortalQuery|CoarseQuery)$$
+# fault, the Fig8 queries, the LOD build, the three LOD query routes: same
+# tile, portal stitch, coarse level, and the other consumers of the §3.4
+# probe: Fig9's larger oracle, the efficient/naive query ablation pair and
+# Fig12's A2A query) take five samples each, so `bench-check` has a spread
+# to gate on; the rest of the root suite keeps one (-skip keeps the two
+# root passes disjoint).
+MULTI_BENCH = ^Benchmark(ColdStartFirstQuery|ColdFault|Fig8_QuerySE|Fig8_QueryFlat|BuildLOD|SameTileQuery|PortalQuery|CoarseQuery|Fig9_QuerySEByN|Ablation_QueryEfficient|Ablation_QueryNaive|Fig12_A2AQuery)$$
 bench-json:
 	{ $(GO) test -bench=. -skip='$(MULTI_BENCH)' -benchmem -run='^$$' -benchtime=$(BENCHTIME) . && \
 	  $(GO) test -bench='$(MULTI_BENCH)' -benchmem -run='^$$' -benchtime=$(BENCHTIME) -count=5 . && \

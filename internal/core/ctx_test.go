@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"seoracle/internal/terrain"
@@ -18,16 +19,16 @@ import (
 
 // cancelAfterIndex is a scriptable DistanceIndex whose Query cancels a
 // context after a set number of calls — it lets the tests observe the
-// mid-batch cancellation checks without wall-clock timing.
+// mid-batch cancellation checks without wall-clock timing. The call count
+// is atomic because a matrix runs its rows on parallel workers.
 type cancelAfterIndex struct {
-	calls  int
-	after  int
+	calls  atomic.Int64
+	after  int64
 	cancel context.CancelFunc
 }
 
 func (c *cancelAfterIndex) Query(s, t int32) (float64, error) {
-	c.calls++
-	if c.cancel != nil && c.calls == c.after {
+	if n := c.calls.Add(1); c.cancel != nil && n == c.after {
 		c.cancel()
 	}
 	if s < 0 || t < 0 {
@@ -82,8 +83,8 @@ func TestQueryBatchCtxCancelledUpFront(t *testing.T) {
 	if !IsContextErr(err) {
 		t.Fatalf("error %q is not a context error", err)
 	}
-	if idx.calls != 0 {
-		t.Fatalf("cancelled batch still ran %d queries", idx.calls)
+	if n := idx.calls.Load(); n != 0 {
+		t.Fatalf("cancelled batch still ran %d queries", n)
 	}
 }
 
@@ -103,8 +104,8 @@ func TestQueryBatchCtxCancelsMidBatch(t *testing.T) {
 	}
 	// The stride bounds the post-cancellation work: cancellation at call 10
 	// is seen at the next multiple of the stride.
-	if idx.calls > 2*ctxCheckStride {
-		t.Fatalf("batch ran %d queries after cancelling at 10 (stride %d)", idx.calls, ctxCheckStride)
+	if n := idx.calls.Load(); n > 2*ctxCheckStride {
+		t.Fatalf("batch ran %d queries after cancelling at 10 (stride %d)", n, ctxCheckStride)
 	}
 }
 

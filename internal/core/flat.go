@@ -672,9 +672,8 @@ func (f *FlatOracle) errFlatCorrupt(what string, v uint32) error {
 }
 
 // Query returns the ε-approximate geodesic distance between POIs s and t
-// using the efficient O(h) method of §3.4, reading only the hot slabs: one
-// same-layer scan plus the first-higher-layer and first-lower-layer passes
-// justified by Lemma 3 / Observation 1, each probe two loads. Zero heap
+// using the efficient O(h) method of §3.4, reading only the hot slabs: the
+// deepest-first candidate scan of queryPair, each probe two loads. Zero heap
 // allocations on success.
 //
 //sealint:hotpath
@@ -694,17 +693,39 @@ func (f *FlatOracle) Query(s, t int32) (float64, error) {
 
 // queryPair runs the O(h) scan of §3.4 and returns the unique matched node
 // pair (Theorem 1) along with its stored distance: Query drops the nodes,
-// QueryPath stitches the highway path between their centers. Node ids read
-// from the paths slab are bounds-guarded before they index the nodes slab,
-// so corrupt content errors instead of faulting.
+// QueryPath stitches the highway path between their centers.
+//
+// Candidates are probed deepest first, because on real POI sets the match
+// is almost always at or near the leaves:
+//
+//  1. Same-layer pairs (A_s[i], A_t[i]) from the leaf layer h up, stopping
+//     at the lowest common ancestor (the first layer i < h where both rows
+//     hold the same node).
+//  2. Cross-layer pairs (Lemma 3 / Observation 1) in one loop from layer h
+//     up to just below the ancestor: at each layer i the t-side node B =
+//     A_t[i] with every s-side node A_s[k], k from i−1 up to B's parent
+//     layer, then the s-side node with the t-side rows the same way.
+//
+// Only candidates that can be stored are skipped: a node above the leaf
+// layer has an enlarged radius > 0, so generatePairs never keeps it paired
+// with itself or with a descendant (CheckInvariants rejects such a key), and
+// at or above the ancestor every same-layer pair is a node with itself and
+// every cross-layer pair an ancestor with its descendant. Theorem 1 says
+// exactly one stored pair matches, so the order decides only how soon it is
+// found, never which pair or which distance bits are returned.
+//
+// Node ids read from the paths slab are bounds-guarded before they index
+// the nodes slab, so corrupt content errors instead of faulting.
 //
 //sealint:hotpath
 func (f *FlatOracle) queryPair(s, t int32) (float64, uint32, uint32, error) {
 	as := f.pathRow(s)
 	at := f.pathRow(t)
 	nn := uint32(f.nNodes)
+	h := f.layerN - 1
 
-	for i := 0; i < f.layerN; i++ {
+	lca := -1
+	for i := h; i >= 0; i-- {
 		a := binary.LittleEndian.Uint32(as[i*4:])
 		b := binary.LittleEndian.Uint32(at[i*4:])
 		if a == flatNone32 || b == flatNone32 {
@@ -716,51 +737,49 @@ func (f *FlatOracle) queryPair(s, t int32) (float64, uint32, uint32, error) {
 		if b >= nn {
 			return 0, 0, 0, f.errFlatCorrupt("path node", b)
 		}
+		if a == b && i < h {
+			lca = i
+			break
+		}
 		if d, ok := f.lookup(a, b); ok {
 			return d, a, b, nil
 		}
 	}
-	for i := 1; i < f.layerN; i++ {
-		b := binary.LittleEndian.Uint32(at[i*4:])
-		if b == flatNone32 {
-			continue
-		}
-		if b >= nn {
-			return 0, 0, 0, f.errFlatCorrupt("path node", b)
-		}
-		j := f.nodeParentLayer(b)
-		for k := j; k < i; k++ {
-			a := binary.LittleEndian.Uint32(as[k*4:])
-			if a == flatNone32 {
-				continue
-			}
-			if a >= nn {
-				return 0, 0, 0, f.errFlatCorrupt("path node", a)
-			}
-			if d, ok := f.lookup(a, b); ok {
-				return d, a, b, nil
-			}
-		}
-	}
-	for i := 1; i < f.layerN; i++ {
-		a := binary.LittleEndian.Uint32(as[i*4:])
-		if a == flatNone32 {
-			continue
-		}
-		if a >= nn {
-			return 0, 0, 0, f.errFlatCorrupt("path node", a)
-		}
-		j := f.nodeParentLayer(a)
-		for k := j; k < i; k++ {
-			b := binary.LittleEndian.Uint32(at[k*4:])
-			if b == flatNone32 {
-				continue
-			}
+	for i := h; i > lca+1; i-- {
+		if b := binary.LittleEndian.Uint32(at[i*4:]); b != flatNone32 {
 			if b >= nn {
 				return 0, 0, 0, f.errFlatCorrupt("path node", b)
 			}
-			if d, ok := f.lookup(a, b); ok {
-				return d, a, b, nil
+			lo := max(f.nodeParentLayer(b), lca+1)
+			for k := i - 1; k >= lo; k-- {
+				a := binary.LittleEndian.Uint32(as[k*4:])
+				if a == flatNone32 {
+					continue
+				}
+				if a >= nn {
+					return 0, 0, 0, f.errFlatCorrupt("path node", a)
+				}
+				if d, ok := f.lookup(a, b); ok {
+					return d, a, b, nil
+				}
+			}
+		}
+		if a := binary.LittleEndian.Uint32(as[i*4:]); a != flatNone32 {
+			if a >= nn {
+				return 0, 0, 0, f.errFlatCorrupt("path node", a)
+			}
+			lo := max(f.nodeParentLayer(a), lca+1)
+			for k := i - 1; k >= lo; k-- {
+				b := binary.LittleEndian.Uint32(at[k*4:])
+				if b == flatNone32 {
+					continue
+				}
+				if b >= nn {
+					return 0, 0, 0, f.errFlatCorrupt("path node", b)
+				}
+				if d, ok := f.lookup(a, b); ok {
+					return d, a, b, nil
+				}
 			}
 		}
 	}
@@ -1194,10 +1213,14 @@ func (f *FlatOracle) EncodeTo(w io.Writer) error {
 	return writeContainer(w, KindFlat, []section{bytesSection(secFlat, f.body)})
 }
 
-// CheckInvariants validates the unique-node-pair-match property (Theorem 1)
-// for a grid of POI pairs. Oracle.CheckInvariants adds the tree-shape and
-// separation checks, which need the radii the flat layout drops.
+// CheckInvariants validates the shape of every stored pair (checkPairShapes)
+// and the unique-node-pair-match property (Theorem 1) for a grid of POI
+// pairs. Oracle.CheckInvariants adds the tree-shape and separation checks,
+// which need the radii the flat layout drops.
 func (f *FlatOracle) CheckInvariants() error {
+	if err := f.checkPairShapes(); err != nil {
+		return err
+	}
 	step := f.npoi/17 + 1
 	for s := 0; s < f.npoi; s += step {
 		for t := 0; t < f.npoi; t += step {
@@ -1211,4 +1234,79 @@ func (f *FlatOracle) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// checkPairShapes rejects a stored pair that queryPair's lowest-common-
+// ancestor stop assumes absent: a node above the leaf layer paired with
+// itself, or a node paired with its own ancestor. Neither is well-separated
+// (the upper node's enlarged disk covers the other's center), so
+// generatePairs never stores one.
+func (f *FlatOracle) checkPairShapes() error {
+	stride := flatSlotStride
+	if f.wide {
+		stride = flatSlotStrideWide
+	}
+	nn := uint64(f.nNodes)
+	for s := 0; s < f.nSlots; s++ {
+		rec := f.slots[s*stride:]
+		var a, b uint64
+		if f.wide {
+			key := binary.LittleEndian.Uint64(rec)
+			if key == ^uint64(0) {
+				continue
+			}
+			a, b = key>>32, key&0xffffffff
+		} else {
+			key := binary.LittleEndian.Uint32(rec)
+			if key == flatNone32 {
+				continue
+			}
+			a, b = uint64(key>>f.shift), uint64(key&(1<<f.shift-1))
+		}
+		if a >= nn || b >= nn {
+			return fmt.Errorf("stored pair (%d,%d) names a node out of range [0,%d)", a, b, nn)
+		}
+		if a == b {
+			if f.nodeLayer(uint32(a)) != f.height {
+				return fmt.Errorf("stored pair (%d,%d) pairs non-leaf node %d with itself", a, b, a)
+			}
+			continue
+		}
+		up, down := uint32(a), uint32(b)
+		if f.nodeLayer(up) > f.nodeLayer(down) {
+			up, down = down, up
+		}
+		anc, err := f.ancestorAt(down, f.nodeLayer(up))
+		if err != nil {
+			return err
+		}
+		if anc == up {
+			return fmt.Errorf("stored pair (%d,%d) pairs node %d with its ancestor %d", a, b, down, up)
+		}
+	}
+	return nil
+}
+
+// nodeLayer returns the layer field of node n (callers guarantee n < nNodes).
+func (f *FlatOracle) nodeLayer(n uint32) int {
+	return int(binary.LittleEndian.Uint16(f.nodes[int(n)*flatNodeStride+8:]))
+}
+
+// ancestorAt walks n's parent chain up to the first node at or above layer
+// and returns it (flatNone32 past the root). A parent id out of range or a
+// chain longer than the tree's height is corruption.
+func (f *FlatOracle) ancestorAt(n uint32, layer int) (uint32, error) {
+	for steps := 0; f.nodeLayer(n) > layer; steps++ {
+		if steps == f.layerN {
+			return 0, fmt.Errorf("node %d: parent chain longer than %d layers", n, f.layerN)
+		}
+		n = binary.LittleEndian.Uint32(f.nodes[int(n)*flatNodeStride+4:])
+		if n == flatNone32 {
+			return n, nil
+		}
+		if n >= uint32(f.nNodes) {
+			return 0, f.errFlatCorrupt("parent node", n)
+		}
+	}
+	return n, nil
 }
