@@ -45,11 +45,12 @@ bench-smoke:
 # benchmarks and the root benchmarks named in MULTI_BENCH (cold start and
 # fault, the Fig8 queries, the LOD build, the three LOD query routes: same
 # tile, portal stitch, coarse level, and the other consumers of the §3.4
-# probe: Fig9's larger oracle, the efficient/naive query ablation pair and
-# Fig12's A2A query) take five samples each, so `bench-check` has a spread
+# probe: Fig9's larger oracle, the efficient/naive query ablation pair,
+# Fig12's A2A query, the path and k-nearest queries and Fig11's V2V query)
+# take five samples each, so `bench-check` has a spread
 # to gate on; the rest of the root suite keeps one (-skip keeps the two
 # root passes disjoint).
-MULTI_BENCH = ^Benchmark(ColdStartFirstQuery|ColdFault|Fig8_QuerySE|Fig8_QueryFlat|BuildLOD|SameTileQuery|PortalQuery|CoarseQuery|Fig9_QuerySEByN|Ablation_QueryEfficient|Ablation_QueryNaive|Fig12_A2AQuery)$$
+MULTI_BENCH = ^Benchmark(ColdStartFirstQuery|ColdFault|Fig8_QuerySE|Fig8_QueryFlat|BuildLOD|SameTileQuery|PortalQuery|CoarseQuery|Fig9_QuerySEByN|Ablation_QueryEfficient|Ablation_QueryNaive|Fig12_A2AQuery|QueryPath|NearestK|Fig11_V2VQuery)$$
 bench-json:
 	{ $(GO) test -bench=. -skip='$(MULTI_BENCH)' -benchmem -run='^$$' -benchtime=$(BENCHTIME) . && \
 	  $(GO) test -bench='$(MULTI_BENCH)' -benchmem -run='^$$' -benchtime=$(BENCHTIME) -count=5 . && \
@@ -96,14 +97,16 @@ fmt:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Exercise the decoder, compact-hash lookup and request-body scanner fuzz
-# targets briefly (CI runs this non-blocking). FuzzLookup fuzzes
-# perfecthash.BuildCompact and the compact probe.
+# Exercise the decoder, compact-hash lookup, request-body scanner and float
+# formatter fuzz targets briefly (CI runs this non-blocking). FuzzLookup
+# fuzzes perfecthash.BuildCompact and the compact probe; FuzzAppendFloat
+# holds the codec's float formatter to json.Marshal on any bit pattern.
 fuzz-smoke:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -run='^$$' ./internal/core
 	$(GO) test -fuzz=FuzzLookup -fuzztime=10s -run='^$$' ./internal/perfecthash
 	$(GO) test -fuzz=FuzzBatchBody -fuzztime=10s -run='^$$' ./internal/server
 	$(GO) test -fuzz=FuzzMatrixBody -fuzztime=10s -run='^$$' ./internal/server
+	$(GO) test -fuzz=FuzzAppendFloat -fuzztime=10s -run='^$$' ./internal/server
 
 # End-to-end build/store/serve pipeline: generate a terrain, build se and
 # a2a index containers, serve them with seserve, and assert curl'd answers

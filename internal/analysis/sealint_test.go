@@ -96,6 +96,9 @@ func TestAnnotatedFuncsListsHotPaths(t *testing.T) {
 		"appendBatch",
 		"appendMatrix",
 		"appendPath",
+		"appendFloat",
+		"shortest",
+		"toDecimal",
 	} {
 		if !byName[want] {
 			t.Errorf("expected //sealint:hotpath on %s; annotated set: %v", want, names(fns))

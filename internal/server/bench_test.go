@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"seoracle/internal/core"
@@ -118,4 +119,44 @@ func BenchmarkServePathCached(b *testing.B) {
 	}
 	h := NewWithOptions(flat, Options{CacheSize: 64}).Handler()
 	serveBench(b, h, o.Stats().Points, http.MethodGet, "/v1/path?s=0&t=5", nil)
+}
+
+// BenchmarkAppendFloat formats the 1 024 distances of the bulk mix's batch
+// (batchBody's pairs on the test world's flat oracle) and reports ns per
+// float: "codec" is the response codec's appendFloat, "strconv" the same
+// digits from strconv.AppendFloat (every distance is in json's 'f' range),
+// the formatter the codec used before it had its own.
+func BenchmarkAppendFloat(b *testing.B) {
+	o := seOracle(b)
+	flat, err := core.ConvertFlat(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	npois := o.Stats().Points
+	pairs := make([][2]int32, 1024)
+	for i := range pairs {
+		pairs[i] = [2]int32{int32(i % npois), int32((i*7 + 3) % npois)}
+	}
+	ds, err := flat.QueryBatch(pairs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 0, 32*len(ds))
+	run := func(b *testing.B, format func(b []byte, f float64) []byte) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = buf[:0]
+			for _, d := range ds {
+				buf = format(buf, d)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ds)), "ns/float")
+	}
+	b.Run("codec", func(b *testing.B) {
+		run(b, func(b []byte, f float64) []byte { b, _ = appendFloat(b, f); return b })
+	})
+	b.Run("strconv", func(b *testing.B) {
+		run(b, func(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'f', -1, 64) })
+	})
 }

@@ -3,14 +3,15 @@ package server
 // codec.go — the JSON codec of the bulk request path. A strict byte
 // scanner decodes the canonical /v1/batch body and the id form of the
 // /v1/matrix body straight into pooled slices; append encoders write the
-// hot responses (query, batch, matrix, path) into a pooled buffer. Neither
-// side replaces encoding/json: the scanner declines every body it does not
-// fully accept, and that exact body then goes through the reference decode
-// (decodeJSON), which also produces every error message. An encoder
-// declines any value whose bytes could differ from json.Marshal's (a
-// non-finite float, a string needing escapes, a matrix with per-cell
-// errors), and writeJSON marshals it instead. The input picks the path;
-// there is no switch.
+// hot responses (query, batch, matrix, path) into a pooled buffer, and
+// format floats themselves (appendFloat, ftoa.go) with output identical to
+// json.Marshal's. Neither side replaces encoding/json: the scanner declines
+// every body it does not fully accept, and that exact body then goes
+// through the reference decode (decodeJSON), which also produces every
+// error message. An encoder declines any value whose bytes could differ
+// from json.Marshal's (a non-finite float, a string needing escapes, a
+// matrix with per-cell errors), and writeJSON marshals it instead. The
+// input picks the path; there is no switch.
 
 import (
 	"bytes"
@@ -499,33 +500,12 @@ func appendPath(b []byte, v pathResponse) ([]byte, bool) {
 	return appendRaw(b, "}}\n"), true
 }
 
-//sealint:hotpath
-func appendRaw(b []byte, s string) []byte {
-	//sealint:ignore amortized growth of a pooled buffer that keeps its capacity across requests
-	return append(b, s...)
-}
-
-// appendFloat encodes f as encoding/json does: ES6 number formatting, 'e'
-// below 1e-6 and from 1e21, with the exponent's leading zero dropped. A
-// NaN or ±Inf, which JSON cannot carry, declines.
+// appendRaw appends s, a string or a byte slice, to b.
 //
 //sealint:hotpath
-func appendFloat(b []byte, f float64) ([]byte, bool) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return b, false
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1] // e-07 → e-7
-			b = b[:n-1]
-		}
-	}
-	return b, true
+func appendRaw[S string | []byte](b []byte, s S) []byte {
+	//sealint:ignore amortized growth of a pooled buffer that keeps its capacity across requests
+	return append(b, s...)
 }
 
 // appendFloats encodes fs as a JSON array, nil as null.
